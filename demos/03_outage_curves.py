@@ -36,8 +36,7 @@ for k0 in (2, 4, 8):
     scheme = rp.ostbc_catalog(k0)
     config = rp.ChannelConfig((k0, 7, 8, 4))
     model = rp.fit(rp.moment_set(config, 6))
-    caps = [rp.outage_capacity(model, scheme, config, rp.db_to_linear(s), 0.05)
-            for s in snrs]
+    caps = rp.outage_capacity(model, scheme, config, rp.db_to_linear(np.array(snrs)), 0.05)
     slope = (caps[-1] - caps[-2]) / 10.0
     print(f"{k0:>3} {str(scheme.rate):>4} "
           + " ".join(f"{c:9.3f}" for c in caps)

@@ -21,6 +21,7 @@ from .moments import (
     MomentSet,
     closed_form_moment,
     exact_moment,
+    gamma_det_identity,
     leading_order_moment,
     mgf_moment,
     mgf_moments,
@@ -44,14 +45,6 @@ from .ostbc import (
     outage_capacity,
     outage_probability,
 )
-from .special import (
-    LogSigned,
-    det_dense,
-    gamma_det_identity,
-    log_gamma,
-    pochhammer_log,
-    reg_lower_gamma,
-)
 
 __version__ = "0.1.0"
 
@@ -60,7 +53,6 @@ __all__ = [
     "Ecdf",
     "FitError",
     "GammaLaguerreModel",
-    "LogSigned",
     "MomentSet",
     "NumericError",
     "OstbcScheme",
@@ -72,7 +64,6 @@ __all__ = [
     "cdf_inverse",
     "closed_form_moment",
     "db_to_linear",
-    "det_dense",
     "effective_snr",
     "exact_moment",
     "fit",
@@ -80,16 +71,13 @@ __all__ = [
     "leading_order_moment",
     "linear_to_db",
     "load_samples",
-    "log_gamma",
     "mgf_moment",
     "mgf_moments",
     "moment_set",
     "ostbc_catalog",
     "outage_capacity",
     "outage_probability",
-    "pochhammer_log",
     "rayleigh_limit_distance",
-    "reg_lower_gamma",
     "sample_frobenius",
     "save_samples",
     "variance_recursion",

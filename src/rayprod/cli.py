@@ -147,8 +147,11 @@ def _emit(header: list[str], rows: list[list], fmt: str, out: str | None) -> Non
             )
         text = buf.getvalue()
     if out:
-        with open(out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ParameterError(f"cannot write --out {out!r}: {exc.strerror}")
     else:
         sys.stdout.write(text)
         if not text.endswith("\n"):
@@ -157,14 +160,31 @@ def _emit(header: list[str], rows: list[list], fmt: str, out: str | None) -> Non
 
 def _fit_model(config: ChannelConfig, q: int, cache_path: str | None = None):
     if cache_path and os.path.exists(cache_path):
-        with open(cache_path) as fh:
-            model = GammaLaguerreModel.from_json(fh.read())
+        try:
+            with open(cache_path) as fh:
+                model = GammaLaguerreModel.from_json(fh.read())
+        except OSError as exc:
+            raise ParameterError(f"cannot read --model-cache {cache_path!r}: {exc.strerror}")
+        except (ValueError, KeyError, TypeError) as exc:
+            raise ParameterError(
+                f"--model-cache {cache_path!r} is not a model file "
+                f"({type(exc).__name__}: {exc})"
+            )
         if model.source_moments.config.dims == config.dims and model.q == q:
             return model
     model = fit(moment_set(config, q))
     if cache_path:
-        with open(cache_path, "w") as fh:
-            fh.write(model.to_json())
+        # Write a sibling temp file and rename it over the cache, so readers
+        # never see a half-written model.
+        tmp = f"{cache_path}.{os.getpid()}.tmp"
+        try:
+            with open(tmp, "w") as fh:
+                fh.write(model.to_json())
+            os.replace(tmp, cache_path)
+        except OSError as exc:
+            if os.path.exists(tmp):
+                os.remove(tmp)
+            raise ParameterError(f"cannot write --model-cache {cache_path!r}: {exc.strerror}")
     return model
 
 
@@ -243,10 +263,8 @@ def _cmd_outage(args) -> int:
         if not 0.0 < args.pout < 1.0:
             raise ParameterError(f"--pout must be in (0, 1), got {args.pout}")
         snr_db = _parse_grid(args.snr_grid)
-        rows = []
-        for s in snr_db:
-            c = outage_capacity(model, scheme, config, db_to_linear(s), args.pout)
-            rows.append([s, c * factor])
+        c = outage_capacity(model, scheme, config, db_to_linear(snr_db), args.pout)
+        rows = [[s, ci * factor] for s, ci in zip(snr_db, c)]
         _emit(["snr_db", f"outage_capacity_{unit}"], rows, args.format, args.out)
         return 0
     raise ParameterError("outage needs either --z-grid with --snr-db, or --pout with --snr-grid")
@@ -257,7 +275,10 @@ def _cmd_simulate(args) -> int:
     seed = _resolve_seed(args.seed)
     samples = sample_frobenius(config, args.samples, seed)
     if args.out:
-        save_samples(samples, args.out)
+        try:
+            save_samples(samples, args.out)
+        except OSError as exc:
+            raise ParameterError(f"cannot write --out {args.out!r}: {exc.strerror}")
     v = samples.values
     quantiles = {f"q{int(100 * p):02d}": float(np.quantile(v, p))
                  for p in (0.05, 0.25, 0.50, 0.75, 0.95)}
@@ -279,12 +300,6 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _mc_outage_curve(samples, scheme, config, gamma, z) -> np.ndarray:
-    rate = float(scheme.rate)
-    scale = rate * config.dims[0] * config.normalization / gamma
-    return Ecdf.from_samples(samples)(scale * np.expm1(z / rate))
-
-
 def _cmd_reproduce(args) -> int:
     seed = _resolve_seed(args.seed)
     unit, factor = _capacity_header(args)
@@ -302,9 +317,9 @@ def _cmd_reproduce(args) -> int:
                 p = outage_probability(model, scheme, config, gamma, z)
                 rows += [[f"{config};model;q={q}", zi * factor, pi]
                          for zi, pi in zip(z, p)]
-            samples = sample_frobenius(config, args.samples, seed + mc_index)
+            ecdf = Ecdf.from_samples(sample_frobenius(config, args.samples, seed + mc_index))
             mc_index += 1
-            p = _mc_outage_curve(samples, scheme, config, gamma, z)
+            p = outage_probability(ecdf, scheme, config, gamma, z)
             rows += [[f"{config};mc", zi * factor, pi] for zi, pi in zip(z, p)]
         reference = ChannelConfig((2, 4))
         model = _fit_model(reference, 2)
@@ -318,43 +333,36 @@ def _cmd_reproduce(args) -> int:
         for clusters in _FIG3_CLUSTERS:
             config = ChannelConfig((4, *([8] * clusters), 4))
             model = _fit_model(config, 6)
-            samples = sample_frobenius(config, args.samples, seed + mc_index)
+            ecdf = Ecdf.from_samples(sample_frobenius(config, args.samples, seed + mc_index))
             mc_index += 1
             for snr_db in (0.0, 5.0):
                 gamma = db_to_linear(snr_db)
                 p = outage_probability(model, scheme, config, gamma, z)
                 rows += [[f"{config};model;snr={snr_db:g}dB", zi * factor, pi]
                          for zi, pi in zip(z, p)]
-                p = _mc_outage_curve(samples, scheme, config, gamma, z)
+                p = outage_probability(ecdf, scheme, config, gamma, z)
                 rows += [[f"{config};mc;snr={snr_db:g}dB", zi * factor, pi]
                          for zi, pi in zip(z, p)]
         header = ["curve_id", f"capacity_{unit}", "outage_probability"]
 
     else:  # fig4
         snr_db = np.linspace(0.0, 40.0, 41)
+        gamma = db_to_linear(snr_db)
         p_out = 0.05
         for k0 in _FIG4_SCHEMES:
             scheme = ostbc_catalog(k0)
-            rate = float(scheme.rate)
-            for dims, label in (
-                ((k0, 7, 8, 4), "model"),
-                ((k0, 4), "rayleigh"),
-            ):
-                config = ChannelConfig(dims)
-                model = _fit_model(config, 6)
-                for s in snr_db:
-                    c = outage_capacity(model, scheme, config, db_to_linear(s), p_out)
-                    rows.append([f"{config};{label};R={scheme.rate}", float(s), c * factor])
             config = ChannelConfig((k0, 7, 8, 4))
-            samples = sample_frobenius(config, args.samples, seed + mc_index)
+            reference = ChannelConfig((k0, 4))
+            ecdf = Ecdf.from_samples(sample_frobenius(config, args.samples, seed + mc_index))
             mc_index += 1
-            x_p = float(np.quantile(samples.values, p_out))
-            for s in snr_db:
-                gamma = db_to_linear(s)
-                c = rate * np.log1p(
-                    gamma * x_p / (rate * config.dims[0] * config.normalization)
-                )
-                rows.append([f"{config};mc;R={scheme.rate}", float(s), float(c) * factor])
+            for curve_config, dist, label in (
+                (config, _fit_model(config, 6), "model"),
+                (reference, _fit_model(reference, 6), "rayleigh"),
+                (config, ecdf, "mc"),
+            ):
+                c = outage_capacity(dist, scheme, curve_config, gamma, p_out)
+                rows += [[f"{curve_config};{label};R={scheme.rate}", float(s), ci * factor]
+                         for s, ci in zip(snr_db, c)]
         header = ["curve_id", "snr_db", f"outage_capacity_{unit}"]
 
     _emit(header, rows, args.format, args.out or f"{args.figure}.csv")
@@ -381,7 +389,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--q", type=int, default=6, help="highest order (default 6)")
     p.set_defaults(func=_cmd_moments)
 
-    p = sub.add_parser("cdf", help="fitted CDF curve on an adaptive grid")
+    p = sub.add_parser("cdf", help="fitted CDF curve on a uniform grid")
     add_common(p)
     p.add_argument("--q", type=int, default=6, help="matched moments (default 6)")
     p.add_argument("--grid-points", type=int, default=201)
@@ -399,8 +407,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--z-grid", help="rate grid start:stop:count in nats/s/Hz")
     p.add_argument("--pout", type=float, help="target outage probability in (0,1)")
     p.add_argument("--rate", help="explicit code rate S/T (default: catalog)")
-    p.add_argument("--auto-rate", action="store_true",
-                   help="use the built-in OSTBC catalog (default)")
     p.add_argument("--bits", action="store_true",
                    help="report capacity in bits/s/Hz instead of nats/s/Hz")
     p.add_argument("--model-cache", help="JSON model cache path")

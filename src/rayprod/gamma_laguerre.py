@@ -70,9 +70,11 @@ class GammaLaguerreModel:
         return math.sqrt(self.source_moments.variance)
 
     def cdf(self, x):
-        return cdf(self, x)
+        """Regularized CDF at ``x``; see :func:`cdf` for the raw series too."""
+        return cdf(self, x)[1]
 
-    def cdf_inverse(self, p: float) -> float:
+    def quantile(self, p: float) -> float:
+        """Quantile of the regularized CDF; see :func:`cdf_inverse`."""
         return cdf_inverse(self, p)
 
     def to_json(self) -> str:
@@ -277,6 +279,8 @@ def cdf_inverse(model: GammaLaguerreModel, p: float) -> float:
             lo = mid
         else:
             hi = mid
-        if hi - lo <= 1e-15 * max(1.0, hi):
+        # Relative stop: quantiles of configs with several dims of 1 can lie
+        # far below 1e-15, where an absolute bracket width would stop early.
+        if hi - lo <= 1e-15 * hi:
             break
     return 0.5 * (lo + hi)

@@ -43,6 +43,7 @@ __all__ = [
     "leading_order_moment",
     "moment_set",
     "composition_count",
+    "gamma_det_identity",
 ]
 
 _MAX_ORDER = 12
@@ -348,6 +349,64 @@ def mgf_moments(config: ChannelConfig, max_m: int) -> list[float]:
     ]
     out[0] = 1.0  # MGF at s = 0, exact by definition
     return out
+
+
+def _det_bareiss(rows: list[list[int]]) -> int:
+    """Fraction-free pivoted elimination; exact for integer matrices."""
+    n = len(rows)
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if rows[k][k] == 0:
+            for r in range(k + 1, n):
+                if rows[r][k] != 0:
+                    rows[k], rows[r] = rows[r], rows[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                rows[i][j] = (rows[i][j] * rows[k][k] - rows[i][k] * rows[k][j]) // prev
+            rows[i][k] = 0
+        prev = rows[k][k]
+    return sign * rows[n - 1][n - 1]
+
+
+def gamma_det_identity(k0: int, nu1: int, m: int) -> tuple[float, float]:
+    """Both sides of the shifted Gamma-matrix determinant identity.
+
+    ``lhs`` is the determinant of the ``k0 x k0`` matrix whose first
+    ``k0 - 1`` columns are ``Gamma(i + j + nu1 - 1)`` and whose last column is
+    ``Gamma(i + k0 + nu1 + m - 1)``; ``rhs`` is the closed form
+
+        Gamma(m + nu1 + k0) * Gamma(m + k0) / Gamma(m + 1)
+        * prod_{i=1..k0-1} Gamma(i) * Gamma(i + nu1).
+
+    With ``m = 0`` this reduces to the classical Gram identity
+    ``det(Gamma(i + j + nu1 - 1)) = prod_j Gamma(j) Gamma(j + nu1)``, the
+    normalization of :func:`mgf_moments` and of the partition sum.  All
+    arguments are integers, so both sides are computed exactly (factorial
+    entries, fraction-free elimination) and rounded once.
+    """
+    k0, nu1, m = int(k0), int(nu1), int(m)
+    if not (1 <= k0 <= 12 and 0 <= nu1 <= 12 and 0 <= m <= 12):
+        raise ParameterError(
+            f"gamma_det_identity range guard: need 1<=k0<=12, 0<=nu1<=12, 0<=m<=12, "
+            f"got ({k0}, {nu1}, {m})"
+        )
+    fact = math.factorial
+    rows = [
+        [fact(i + j + nu1 - 2) for j in range(1, k0)] + [fact(i + k0 + nu1 + m - 2)]
+        for i in range(1, k0 + 1)
+    ]
+    rhs = (
+        fact(m + nu1 + k0 - 1)
+        * fact(m + k0 - 1)
+        // fact(m)
+        * math.prod(fact(i - 1) * fact(i + nu1 - 1) for i in range(1, k0))
+    )
+    return float(_det_bareiss(rows)), float(rhs)
 
 
 def mgf_moment(config: ChannelConfig, m: int) -> float:

@@ -25,7 +25,7 @@ import struct
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import kstest
+from scipy.special import ndtr
 
 from .channel import ChannelConfig
 from .errors import ParameterError
@@ -83,6 +83,16 @@ class Ecdf:
         idx = np.searchsorted(self._sorted, np.asarray(x, dtype=float), side="right")
         out = idx / self._sorted.size
         return float(out) if np.isscalar(x) or out.ndim == 0 else out
+
+    def cdf(self, x):
+        """Same as calling the ECDF; the distribution interface of ``ostbc``."""
+        return self(x)
+
+    def quantile(self, p: float) -> float:
+        """Linearly interpolated sample quantile (``numpy.quantile``), ``0 < p < 1``."""
+        if not 0.0 < p < 1.0:
+            raise ParameterError(f"quantile requires 0 < p < 1, got {p}")
+        return float(np.quantile(self._sorted, p))
 
 
 def _box_muller(u: np.ndarray) -> np.ndarray:
@@ -249,7 +259,21 @@ def rayleigh_limit_distance(
         block[:, doubles_rx // 2 :] = flat.imag * np.sqrt(2.0)
         pooled[pos : pos + b * doubles_rx] = block.ravel()
         pos += b * doubles_rx
-    return float(kstest(pooled, "norm").statistic)
+    return _ks_normal_statistic(pooled)
+
+
+def _ks_normal_statistic(values: np.ndarray) -> float:
+    """One-sample Kolmogorov-Smirnov statistic against the standard normal.
+
+    ``max(D+, D-)`` over the sorted values, with the same arithmetic as
+    ``scipy.stats.kstest(values, "norm").statistic``.
+    """
+    x = np.sort(values)
+    n = x.size
+    cdf = ndtr(x)
+    d_plus = (np.arange(1.0, n + 1) / n - cdf).max()
+    d_minus = (cdf - np.arange(0.0, n) / n).max()
+    return float(max(d_plus, d_minus))
 
 
 def _nested_layer_gram(

@@ -2,9 +2,10 @@
 
 An OSTBC turns the MIMO link into parallel scalar channels whose common SNR
 is proportional to ``X = ||P||_F**2``, so outage probability and outage
-capacity are plain CDF/quantile evaluations of the fitted model after an
-SNR change of variables.  Capacity is in nats/s/Hz throughout; dB conversion
-happens at the interfaces only.
+capacity are plain CDF/quantile evaluations of a distribution of ``X`` (the
+fitted model or a Monte-Carlo ECDF) after an SNR change of variables.
+Capacity is in nats/s/Hz throughout; dB conversion happens at the interfaces
+only.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ import numpy as np
 
 from .channel import ChannelConfig
 from .errors import ParameterError
-from .gamma_laguerre import GammaLaguerreModel, cdf, cdf_inverse
 
 __all__ = [
     "OstbcScheme",
@@ -78,29 +78,34 @@ def ostbc_catalog(k0: int) -> OstbcScheme:
     return OstbcScheme(k0, 4, 8)
 
 
-def _check_pair(scheme: OstbcScheme, config: ChannelConfig) -> None:
+def _snr_denominator(scheme: OstbcScheme, config: ChannelConfig, gamma) -> float:
+    """Check the scheme against the channel and the SNR; return ``R * K0 * N``.
+
+    The post-decoder SNR is ``gamma * x / (R * K0 * N)``; every SNR <-> channel
+    energy conversion in the package divides by this one denominator.
+    """
     if scheme.tx_antennas != config.dims[0]:
         raise ParameterError(
             f"scheme is for {scheme.tx_antennas} transmit antennas but dims "
             f"start with {config.dims[0]}"
         )
+    if not np.all(np.asarray(gamma) > 0):
+        raise ParameterError(f"transmit SNR must be positive, got {gamma}")
+    return float(scheme.rate) * config.dims[0] * config.normalization
 
 
 def effective_snr(
     scheme: OstbcScheme, config: ChannelConfig, gamma: float, x: float
 ) -> float:
     """Post-decoder scalar SNR ``gamma * x / (R * K0 * N)`` (linear)."""
-    _check_pair(scheme, config)
-    if not gamma > 0:
-        raise ParameterError(f"transmit SNR must be positive, got {gamma}")
+    denominator = _snr_denominator(scheme, config, gamma)
     if x < 0:
         raise ParameterError(f"channel energy must be nonnegative, got {x}")
-    r = float(scheme.rate)
-    return gamma * x / (r * config.dims[0] * config.normalization)
+    return gamma * x / denominator
 
 
 def outage_probability(
-    model: GammaLaguerreModel,
+    dist,
     scheme: OstbcScheme,
     config: ChannelConfig,
     gamma: float,
@@ -108,33 +113,33 @@ def outage_probability(
 ):
     """Probability that the instantaneous capacity falls below rate ``z``.
 
+    ``dist`` is any distribution of ``X`` with a ``cdf(x)`` method (the
+    fitted :class:`GammaLaguerreModel` or a Monte-Carlo :class:`Ecdf`).
     ``z`` is in nats/s/Hz and may be a scalar or array; ``gamma`` is the
     linear transmit SNR.
     """
-    _check_pair(scheme, config)
-    if not gamma > 0:
-        raise ParameterError(f"transmit SNR must be positive, got {gamma}")
+    denominator = _snr_denominator(scheme, config, gamma)
     z_arr = np.asarray(z, dtype=float)
     if np.any(z_arr < 0):
         raise ParameterError("rate z must be >= 0")
     r = float(scheme.rate)
-    scale = r * config.dims[0] * config.normalization / gamma
-    x_threshold = scale * np.expm1(z_arr / r)
-    out = cdf(model, x_threshold)[1]
-    return out
+    return dist.cdf(denominator / gamma * np.expm1(z_arr / r))
 
 
 def outage_capacity(
-    model: GammaLaguerreModel,
+    dist,
     scheme: OstbcScheme,
     config: ChannelConfig,
-    gamma: float,
+    gamma,
     p: float,
-) -> float:
-    """Largest rate (nats/s/Hz) guaranteed for a ``1 - p`` fraction of fades."""
-    _check_pair(scheme, config)
-    if not gamma > 0:
-        raise ParameterError(f"transmit SNR must be positive, got {gamma}")
+):
+    """Largest rate (nats/s/Hz) guaranteed for a ``1 - p`` fraction of fades.
+
+    ``dist`` is any distribution of ``X`` with a ``quantile(p)`` method.
+    ``gamma`` (linear transmit SNR) may be a scalar, which returns a float,
+    or an array; the quantile is taken once for all SNRs.
+    """
+    denominator = _snr_denominator(scheme, config, gamma)
     r = float(scheme.rate)
-    x_p = cdf_inverse(model, p)
-    return r * math.log1p(gamma * x_p / (r * config.dims[0] * config.normalization))
+    out = r * np.log1p(gamma * dist.quantile(p) / denominator)
+    return float(out) if np.ndim(out) == 0 else out

@@ -76,6 +76,7 @@ class TestCdf:
                                         "--model-cache", str(cache)])
         assert code == 0
         assert first == second
+        assert [p.name for p in tmp_path.iterdir()] == ["model.json"]  # no temp left
 
 
 class TestOutage:
@@ -202,6 +203,21 @@ class TestErrorCodes:
     def test_unknown_command_flag(self, capsys):
         code, _, _ = _run(capsys, ["moments", "--dims", "2,3", "--bogus"])
         assert code == 2
+
+    def test_corrupt_model_cache(self, capsys, tmp_path):
+        cache = tmp_path / "model.json"
+        cache.write_text('{"alpha": 1.0, ')
+        code, _, err = _run(capsys, ["cdf", "--dims", "2,3", "--model-cache", str(cache)])
+        assert code == 2
+        assert "--model-cache" in err
+        assert err.strip().count("\n") == 0
+
+    def test_unwritable_out(self, capsys, tmp_path):
+        out = tmp_path / "missing" / "moments.csv"
+        code, _, err = _run(capsys, ["moments", "--dims", "2,3", "--out", str(out)])
+        assert code == 2
+        assert "--out" in err
+        assert err.strip().count("\n") == 0
 
     def test_resource_and_numeric_mapping(self, capsys, monkeypatch):
         # the dispatcher assigns distinct exit codes per error class

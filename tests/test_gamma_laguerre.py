@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import gammainc
 
 from conftest import sup_distance
 from rayprod import (
@@ -15,7 +16,6 @@ from rayprod import (
     cdf_inverse,
     fit,
     moment_set,
-    reg_lower_gamma,
     sample_frobenius,
 )
 
@@ -76,7 +76,7 @@ class TestSingleFactorExactness:
             model = fit(moment_set(ChannelConfig((k0, k1)), 6))
             grid = np.linspace(0.0, model.mean + 10.0 * model.std, 100)
             raw, _ = cdf(model, grid)
-            ref = reg_lower_gamma(float(k0 * k1), grid)
+            ref = gammainc(float(k0 * k1), grid)
             assert np.max(np.abs(raw - ref)) <= 1e-12
 
 
@@ -170,6 +170,26 @@ class TestCdfInverse:
         for p in (0.0, 1.0, -0.2, 1.5):
             with pytest.raises(ParameterError):
                 cdf_inverse(model, p)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("dims", [(1, 1, 1, 1, 7), (1, 1, 9, 1, 1), (1, 6, 2, 1, 1)])
+    def test_tiny_quantiles_meet_tolerance(self, dims):
+        # several dims of 1 put the lower quantiles far below 1e-15, where a
+        # bracket-width stop in absolute terms ended the bisection early
+        model = fit(moment_set(ChannelConfig(dims), 6))
+        for p in (1e-3, 0.01, 0.05, 0.5):
+            x = cdf_inverse(model, p)
+            assert abs(cdf(model, x)[1] - p) <= 1e-10, (dims, p, x)
+
+
+class TestDistributionMethods:
+    def test_methods_match_module_functions(self):
+        model = fit(moment_set(ChannelConfig((2, 6, 8, 4)), 6))
+        grid = np.linspace(0.0, model.mean + 10.0 * model.std, 33)
+        assert np.array_equal(model.cdf(grid), cdf(model, grid)[1])
+        assert model.cdf(model.mean) == cdf(model, model.mean)[1]
+        for p in (0.01, 0.05, 0.5):
+            assert model.quantile(p) == cdf_inverse(model, p)
 
 
 class TestSerialization:

@@ -1,9 +1,14 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from scipy.special import gammainc
 from scipy.stats import ks_2samp, kstest
 
+import rayprod
 from rayprod import (
     ChannelConfig,
     Ecdf,
@@ -15,7 +20,7 @@ from rayprod import (
     save_samples,
     variance_recursion,
 )
-from rayprod.montecarlo import _frobenius_values
+from rayprod.montecarlo import _frobenius_values, _ks_normal_statistic
 
 
 class TestSampleFrobenius:
@@ -86,6 +91,18 @@ class TestEcdf:
         with pytest.raises(ParameterError):
             Ecdf([])
 
+    def test_distribution_interface(self):
+        values = np.random.default_rng(8).exponential(size=1001)
+        e = Ecdf(values)
+        x = np.array([0.0, 0.3, 1.0, 7.5])
+        np.testing.assert_array_equal(e.cdf(x), e(x))
+        assert e.cdf(1.0) == e(1.0)
+        for p in (0.01, 0.05, 0.5, 0.99):
+            assert e.quantile(p) == float(np.quantile(values, p))
+        for p in (0.0, 1.0, -0.2, 1.5):
+            with pytest.raises(ParameterError):
+                e.quantile(p)
+
 
 class TestVarianceRecursion:
     def test_single_factor(self):
@@ -121,14 +138,12 @@ class TestRayleighLimit:
         # normalized energy Y = X / (K0 N) of a [2, K1, K2, 4] channel
         # approaches the law of the 2x4 single-factor channel (Gamma with
         # shape 8, mean 1 after the same normalization) as the clusters grow
-        from rayprod import reg_lower_gamma
-
         sups = {}
         for k1, k2 in [(6, 8), (30, 40)]:
             config = ChannelConfig((2, k1, k2, 4))
             samples = sample_frobenius(config, 2 * 10**5, 0)
             y = np.sort(samples.values / (2 * config.normalization))
-            ref = reg_lower_gamma(8.0, 8.0 * y)
+            ref = gammainc(8.0, 8.0 * y)
             ranks = np.arange(1, y.size + 1) / y.size
             sups[(k1, k2)] = float(np.max(np.abs(ref - ranks)))
         assert sups[(30, 40)] < sups[(6, 8)]
@@ -150,6 +165,20 @@ class TestRayleighLimit:
         a = rayleigh_limit_distance(2, 3, 7, [1.0], 2000, 5)
         b = rayleigh_limit_distance(2, 3, 7, [1.0], 2000, 5)
         assert a == b
+
+    def test_ks_statistic_matches_scipy(self):
+        rng = np.random.default_rng(9)
+        arrays = [rng.standard_normal(n) for n in (1, 2, 17, 1000, 40_000)]
+        arrays += [rng.standard_t(3, 5000), 1.1 * rng.standard_normal(5000) + 0.05]
+        for x in arrays:
+            assert _ks_normal_statistic(x) == kstest(x, "norm").statistic
+
+    def test_import_leaves_scipy_stats_out(self):
+        code = "import sys, rayprod; print('scipy.stats' in sys.modules)"
+        src = os.path.dirname(os.path.dirname(rayprod.__file__))
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             text=True, check=True, env={**os.environ, "PYTHONPATH": src})
+        assert out.stdout.strip() == "False"
 
     def test_domain(self):
         with pytest.raises(ParameterError):

@@ -6,6 +6,7 @@ import pytest
 
 from rayprod import (
     ChannelConfig,
+    Ecdf,
     OstbcScheme,
     ParameterError,
     db_to_linear,
@@ -16,6 +17,7 @@ from rayprod import (
     ostbc_catalog,
     outage_capacity,
     outage_probability,
+    sample_frobenius,
 )
 
 
@@ -91,6 +93,15 @@ class TestOutageProbability:
         p_high = outage_probability(model, scheme, config, 4.0, 1.0)
         assert p_high <= p_low
 
+    def test_ecdf_curve(self):
+        # the Monte-Carlo curve: the ECDF at the rate's channel-energy threshold
+        config = ChannelConfig((2, 6, 8, 4))
+        ecdf = Ecdf(sample_frobenius(config, 10_000, 2).values)
+        z = np.linspace(0.05, 3.0, 60)
+        p = outage_probability(ecdf, ostbc_catalog(2), config, 10.0, z)
+        threshold = 2 * config.normalization / 10.0 * np.expm1(z)
+        assert np.array_equal(p, ecdf(threshold))
+
     def test_domain(self):
         model = _model((2, 3))
         with pytest.raises(ParameterError):
@@ -125,6 +136,36 @@ class TestOutageCapacity:
         lo = outage_capacity(model, scheme, config, 1.0, 0.01)
         hi = outage_capacity(model, scheme, config, 1.0, 0.5)
         assert hi > lo
+
+    def test_array_snr_matches_scalar_calls(self):
+        config = ChannelConfig((2, 7, 8, 4))
+        scheme = ostbc_catalog(2)
+        gammas = db_to_linear(np.linspace(-10.0, 40.0, 26))
+        ecdf = Ecdf(sample_frobenius(config, 20_000, 3).values)
+        for dist in (_model(config.dims), ecdf):
+            caps = outage_capacity(dist, scheme, config, gammas, 0.05)
+            assert isinstance(caps, np.ndarray) and caps.shape == gammas.shape
+            for g, c in zip(gammas, caps):
+                scalar = outage_capacity(dist, scheme, config, float(g), 0.05)
+                assert isinstance(scalar, float)
+                assert abs(c - scalar) <= np.spacing(scalar)
+
+    def test_array_snr_domain(self):
+        config = ChannelConfig((2, 3))
+        with pytest.raises(ParameterError):
+            outage_capacity(_model(config.dims), ostbc_catalog(2), config,
+                            np.array([1.0, 0.0]), 0.05)
+
+    def test_ecdf_matches_empirical_quantile(self):
+        # the Monte-Carlo curve: the sample quantile through the capacity map
+        config = ChannelConfig((4, 8, 4))
+        scheme = ostbc_catalog(4)
+        values = sample_frobenius(config, 10_000, 1).values
+        c = outage_capacity(Ecdf(values), scheme, config, 10.0, 0.05)
+        rate = float(scheme.rate)
+        x_p = float(np.quantile(values, 0.05))
+        assert c == pytest.approx(rate * math.log1p(10.0 * x_p / (rate * 4 * 32)),
+                                  rel=1e-15)
 
     def test_high_snr_slope_tracks_code_rate(self):
         # dC/d(gamma_dB) -> R ln(10) / 10 nats per dB

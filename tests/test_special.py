@@ -1,123 +1,16 @@
+"""Exact special-function identities behind the moment normalization.
+
+`gamma_det_identity` certifies the prod Gamma(j) Gamma(j + nu1) constant of
+`moments.py`; `_det_bareiss` is the integer determinant it is computed with.
+"""
+
 import math
 
-import mpmath
 import numpy as np
 import pytest
 
-from rayprod import (
-    LogSigned,
-    ParameterError,
-    det_dense,
-    gamma_det_identity,
-    log_gamma,
-    pochhammer_log,
-    reg_lower_gamma,
-)
-
-
-class TestLogSigned:
-    def test_round_trip(self):
-        rng = np.random.default_rng(1)
-        for _ in range(2000):
-            value = float(rng.choice([-1, 1]) * 10.0 ** rng.uniform(-290, 290))
-            back = LogSigned.from_value(value).value()
-            assert abs(back - value) <= 1e-13 * abs(value)
-
-    def test_zero(self):
-        zero = LogSigned.from_value(0.0)
-        assert zero.sign == 0
-        assert zero.value() == 0.0
-
-    def test_multiplication(self):
-        a = LogSigned.from_value(-3.0)
-        b = LogSigned.from_value(7.0)
-        assert (a * b).value() == pytest.approx(-21.0, rel=1e-14)
-        assert (a * LogSigned.from_value(0.0)).sign == 0
-
-
-class TestLogGamma:
-    def test_known_values(self):
-        assert log_gamma(1.0) == 0.0
-        assert log_gamma(5.0) == pytest.approx(math.log(24.0), rel=1e-14)
-        # high-precision reference for ln Gamma(1/2) = ln sqrt(pi)
-        assert log_gamma(0.5) == pytest.approx(0.5723649429247001, abs=1e-14)
-
-    def test_against_high_precision(self):
-        mpmath.mp.dps = 40
-        for x in np.logspace(-3, 6, 120):
-            ref = float(mpmath.loggamma(mpmath.mpf(float(x))))
-            assert abs(log_gamma(float(x)) - ref) <= 1e-13 * max(1.0, abs(ref))
-
-    def test_domain(self):
-        with pytest.raises(ParameterError):
-            log_gamma(0.0)
-        with pytest.raises(ParameterError):
-            log_gamma(-2.5)
-
-
-class TestPochhammer:
-    def test_known_values(self):
-        assert pochhammer_log(3.0, 0).value() == 1.0
-        assert pochhammer_log(6.0, 2).value() == pytest.approx(42.0, rel=1e-13)
-        assert pochhammer_log(3.0, 3).value() == pytest.approx(60.0, rel=1e-13)
-
-    def test_sign_positive(self):
-        rng = np.random.default_rng(2)
-        for _ in range(100):
-            a = float(10.0 ** rng.uniform(-3, 3))
-            assert pochhammer_log(a, int(rng.integers(0, 20))).sign == 1
-
-    def test_recurrence(self):
-        rng = np.random.default_rng(3)
-        for _ in range(500):
-            a = float(10.0 ** rng.uniform(-3, 3))
-            t = int(rng.integers(0, 40))
-            lhs = pochhammer_log(a, t + 1).value()
-            rhs = pochhammer_log(a, t).value() * (a + t)
-            assert abs(lhs - rhs) <= 1e-12 * abs(rhs)
-
-    def test_domain(self):
-        with pytest.raises(ParameterError):
-            pochhammer_log(0.0, 2)
-        with pytest.raises(ParameterError):
-            pochhammer_log(2.0, -1)
-
-
-class TestRegLowerGamma:
-    def test_exponential_cdf(self):
-        assert reg_lower_gamma(1.0, math.log(2.0)) == pytest.approx(0.5, abs=1e-12)
-
-    def test_at_zero(self):
-        for a in (0.5, 1.0, 7.0, 123.4):
-            assert reg_lower_gamma(a, 0.0) == 0.0
-
-    def test_closed_form_a2(self):
-        # integration by parts: P(2, x) = 1 - (1 + x) e^-x
-        assert reg_lower_gamma(2.0, 2.0) == pytest.approx(
-            1.0 - 3.0 * math.exp(-2.0), abs=1e-13
-        )
-
-    def test_monotone_and_bounded(self):
-        rng = np.random.default_rng(4)
-        for _ in range(10_000):
-            a = float(10.0 ** rng.uniform(-3, 4))
-            x = float(10.0 ** rng.uniform(-6, 5))
-            lo = reg_lower_gamma(a, x)
-            hi = reg_lower_gamma(a, x * 1.25)
-            assert 0.0 <= lo <= 1.0
-            assert hi >= lo
-
-    def test_vectorized(self):
-        xs = np.linspace(0.0, 10.0, 11)
-        out = reg_lower_gamma(2.5, xs)
-        assert out.shape == xs.shape
-        assert np.all(np.diff(out) >= 0.0)
-
-    def test_domain(self):
-        with pytest.raises(ParameterError):
-            reg_lower_gamma(0.0, 1.0)
-        with pytest.raises(ParameterError):
-            reg_lower_gamma(1.0, -0.5)
+from rayprod import ParameterError, gamma_det_identity
+from rayprod.moments import _det_bareiss
 
 
 def _cofactor_det(a):
@@ -133,48 +26,31 @@ def _cofactor_det(a):
 
 class TestDetDense:
     def test_identity(self):
-        assert det_dense(np.eye(3)) == 1.0
+        assert _det_bareiss([[1, 0, 0], [0, 1, 0], [0, 0, 1]]) == 1
 
     def test_hand_values(self):
-        assert det_dense([[1, 2], [3, 4]]) == -2.0
+        assert _det_bareiss([[1, 2], [3, 4]]) == -2
         # Gamma Gram matrix for K0 = 2, offset 0: [[G(1),G(2)],[G(2),G(3)]]
-        assert det_dense([[1, 1], [1, 2]]) == 1.0
+        assert _det_bareiss([[1, 1], [1, 2]]) == 1
 
     def test_integer_exact_vs_cofactor(self):
         rng = np.random.default_rng(5)
         for _ in range(300):
-            mat = rng.integers(-5, 6, size=(3, 3))
-            assert det_dense(mat) == float(_cofactor_det(mat.tolist()))
+            mat = rng.integers(-5, 6, size=(3, 3)).tolist()
+            assert _det_bareiss([row[:] for row in mat]) == _cofactor_det(mat)
 
     def test_structurally_singular(self):
-        assert det_dense([[1, 2], [2, 4]]) == 0.0
-        assert det_dense(np.zeros((4, 4))) == 0.0
-
-    def test_float_path(self):
-        rng = np.random.default_rng(6)
-        mat = rng.normal(size=(6, 6))
-        assert det_dense(mat) == pytest.approx(float(np.linalg.det(mat)), rel=1e-10)
-
-    def test_guards(self):
-        with pytest.raises(ParameterError):
-            det_dense(np.ones((2, 3)))
-        with pytest.raises(ParameterError):
-            det_dense(np.eye(33))
-        with pytest.raises(ParameterError):
-            det_dense([[np.inf, 1], [1, 1]])
+        assert _det_bareiss([[1, 2], [2, 4]]) == 0
+        assert _det_bareiss([[0] * 4 for _ in range(4)]) == 0
 
 
 class TestGammaDetIdentity:
     def test_known_cases(self):
-        lhs, rhs = gamma_det_identity(2, 0, 0)
-        assert lhs == pytest.approx(1.0, rel=1e-12)
-        assert rhs == pytest.approx(1.0, rel=1e-12)
+        assert gamma_det_identity(2, 0, 0) == (1.0, 1.0)
         lhs, rhs = gamma_det_identity(1, 3, 2)
-        assert rhs == pytest.approx(math.factorial(5), rel=1e-12)  # Gamma(m+nu+1)
-        assert lhs == pytest.approx(rhs, rel=1e-12)
-        lhs, rhs = gamma_det_identity(2, 0, 1)
-        assert lhs == pytest.approx(4.0, rel=1e-12)
-        assert rhs == pytest.approx(4.0, rel=1e-12)
+        assert rhs == math.factorial(5)  # Gamma(m+nu+1)
+        assert lhs == rhs
+        assert gamma_det_identity(2, 0, 1) == (4.0, 4.0)
 
     def test_grid(self):
         for k0 in range(1, 7):
