@@ -226,6 +226,8 @@ def _cmd_moments(args) -> int:
 
 
 def _cmd_cdf(args) -> int:
+    if args.grid_points < 2:
+        raise ParameterError(f"--grid-points must be >= 2, got {args.grid_points}")
     config = _parse_dims(args.dims)
     model = _fit_model(config, args.q, args.model_cache)
     hi = model.mean + 10.0 * model.std

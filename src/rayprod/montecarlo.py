@@ -1,17 +1,34 @@
 """Seeded Monte-Carlo simulation of the product channel.
 
-Reproducibility contract
-------------------------
-Draws come from counter-based Philox streams keyed by ``(seed << 1) |
-substream``.  Sample ``i`` owns the uniform doubles at absolute stream
-positions ``[i * D4, (i+1) * D4)`` where ``D4`` is the per-sample double
-count rounded up to a multiple of four (one Philox block is four 64-bit
-words).  Normals are produced from consecutive uniform pairs ``(u1, u2)``
-by the Box-Muller transform ``r = sqrt(-2 log(1 - u1))``, ``z = (r cos(2 pi
-u2), r sin(2 pi u2))``, which consumes a fixed number of uniforms per
-normal.  Within a sample the normals fill the factor matrices in order
-``H_1 .. H_n``, one matrix at a time, all real parts row-major first, then
-all imaginary parts.
+Sampler
+-------
+The law of ``X = ||H_n ... H_1||_F**2`` is invariant under rotating the
+dims, so draws use ``config.canonical_dims = (k, m_1, ..., m_n)`` with
+``k = K_min`` first and every ``m_i >= k``.  An ``m x k`` complex Gaussian
+matrix is ``Q T`` with ``Q`` an isometry and ``T`` a ``k x k`` Bartlett
+triangle: diagonal entry ``j`` is ``sqrt(Gamma(m - j, 1))``, the strict
+upper part is i.i.d. CN(0, 1), all independent of ``Q``.  By unitary
+invariance the next factor times ``Q`` is again Gaussian and independent
+of ``T``, so ``X`` has the law of ``||T_n ... T_1||_F**2`` with independent
+triangles ``T_i`` built with ``m = m_i``.  A draw costs ``O(n k**3)``,
+independent of the cluster sizes.
+
+Reproducibility contract (sample file version 2)
+------------------------------------------------
+Draws come from counter-based Philox streams keyed by the seed.  Sample
+``i`` owns the uniform doubles at absolute stream positions ``[i * D4, (i+1)
+* D4)`` where ``D4`` is the per-sample double count ``D`` rounded up to a
+multiple of four (one Philox block is four 64-bit words), and
+
+    D = sum_i sum_{j<k} (m_i - j) + n k (k - 1).
+
+Within a sample the first part feeds the diagonals, factor by factor and
+``j = 0 .. k-1`` within a factor: ``Gamma(a, 1) = -sum log(1 - u)`` over the
+next ``a`` uniforms (``1 - u`` is exact for the 53-bit uniforms).  The rest
+feeds the strict upper parts, factor by factor in row-major order, one
+uniform pair ``(u1, u2)`` per entry through the Box-Muller transform
+``(re, im) = (r cos(2 pi u2), r sin(2 pi u2)) / sqrt(2)`` with ``r =
+sqrt(-2 log(1 - u1))``.
 
 Because stream positions depend only on the sample index, any partition of
 the index range generates bit-identical values, independent of batch or
@@ -43,7 +60,7 @@ __all__ = [
 _TARGET_WORDS_PER_BATCH = 4_000_000
 _HEADER = struct.Struct("<8sIQQ4x")  # magic, version, count, seed; 32 bytes
 _MAGIC = b"RPSAMPLE"
-_VERSION = 1
+_VERSION = 2
 
 
 @dataclass(frozen=True, eq=False)
@@ -95,16 +112,18 @@ class Ecdf:
         return float(np.quantile(self._sorted, p))
 
 
-def _box_muller(u: np.ndarray) -> np.ndarray:
-    """Normals from uniform pairs along the last axis (even length)."""
-    u1 = u[..., 0::2]
-    u2 = u[..., 1::2]
-    radius = np.sqrt(-2.0 * np.log1p(-u1))
-    angle = (2.0 * np.pi) * u2
-    z = np.empty_like(u)
-    z[..., 0::2] = radius * np.cos(angle)
-    z[..., 1::2] = radius * np.sin(angle)
-    return z
+def _box_muller(u1: np.ndarray, u2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Independent standard normals ``(r cos(2 pi u2), r sin(2 pi u2))``.
+
+    ``r = sqrt(-2 log(1 - u1))``.  Cosine and sine come from the half-angle
+    tangent ``t = tan(pi u2)`` as ``(1 - t**2, 2 t) / (1 + t**2)``: one
+    tangent is several times cheaper than numpy's float64 cosine and sine,
+    and the formula is stable over the whole circle (``t`` stays finite
+    because no double equals ``pi / 2``).
+    """
+    t = np.tan(np.pi * u2)
+    scale = np.sqrt(-2.0 * np.log(1.0 - u1)) / (1.0 + t * t)
+    return scale * (1.0 - t * t), scale * (2.0 * t)
 
 
 def _philox(seed: int, tag: int) -> np.random.Philox:
@@ -112,46 +131,98 @@ def _philox(seed: int, tag: int) -> np.random.Philox:
     return np.random.Philox(key=((seed & (2**64 - 1)) << 16) | tag)
 
 
-def _normal_rows(
+def _uniform_rows(
     seed: int, start: int, count: int, doubles: int, tag: int = 0
 ) -> np.ndarray:
-    """Standard normals for samples ``start .. start+count-1``, ``doubles`` each."""
+    """Uniform doubles for samples ``start .. start+count-1``, ``doubles`` each.
+
+    Sample ``i`` reads stream positions ``[i * D4, i * D4 + doubles)`` with
+    ``D4`` the double count rounded up to whole Philox blocks.
+    """
     d4 = ((doubles + 3) // 4) * 4
     bitgen = _philox(seed, tag)
     if start:
         bitgen.advance(start * (d4 // 4))
-    u = np.random.Generator(bitgen).random(count * d4).reshape(count, d4)[:, :doubles]
-    return _box_muller(u)
+    return np.random.Generator(bitgen).random(count * d4).reshape(count, d4)[:, :doubles]
 
 
-def _complex_block(z: np.ndarray, offset: int, rows: int, cols: int):
-    """Unit-variance complex Gaussian matrices from a block of normals."""
+def _normal_rows(
+    seed: int, start: int, count: int, doubles: int, tag: int = 0
+) -> np.ndarray:
+    """Standard normals for samples ``start .. start+count-1``, ``doubles`` each."""
+    u = _uniform_rows(seed, start, count, doubles, tag)
+    z = np.empty_like(u)
+    z[:, 0::2], z[:, 1::2] = _box_muller(u[:, 0::2], u[:, 1::2])
+    return z
+
+
+def _complex_block(z: np.ndarray, rows: int, cols: int) -> np.ndarray:
+    """Unit-variance complex Gaussian matrices: all real parts, then all imaginary."""
     cnt = rows * cols
-    re = z[:, offset : offset + cnt].reshape(-1, rows, cols)
-    im = z[:, offset + cnt : offset + 2 * cnt].reshape(-1, rows, cols)
-    return (re + 1j * im) / np.sqrt(2.0), offset + 2 * cnt
+    re = z[:, :cnt].reshape(-1, rows, cols)
+    im = z[:, cnt : 2 * cnt].reshape(-1, rows, cols)
+    return (re + 1j * im) / np.sqrt(2.0)
+
+
+def _triangle_chain_norm(diag: np.ndarray, upper: np.ndarray) -> np.ndarray:
+    """``||T_n ... T_1||_F**2`` for batches of upper-triangular factors.
+
+    ``diag[i, j]`` holds the real diagonal entry ``j`` of ``T_(i+1)`` and
+    ``upper[i, t]`` its ``t``-th strict upper entry in row-major order; the
+    batch axis is last, so every matrix entry is one contiguous vector and
+    the product costs ``k (k+1) (k+2) / 6`` vector multiply-adds per factor.
+    """
+    n, k, _ = diag.shape
+    pos = {rc: t for t, rc in enumerate(zip(*np.triu_indices(k, 1)))}
+    entries = [(r, c) for r in range(k) for c in range(r, k)]
+    prod = {(r, c): diag[0, r] if r == c else upper[0, pos[r, c]] for r, c in entries}
+    for i in range(1, n):
+        prod = {
+            (r, c): sum(
+                (upper[i, pos[r, l]] * prod[l, c] for l in range(r + 1, c + 1)),
+                diag[i, r] * prod[r, c],
+            )
+            for r, c in entries
+        }
+    return sum(
+        prod[r, c] ** 2 if r == c else prod[r, c].real ** 2 + prod[r, c].imag ** 2
+        for r, c in entries
+    )
 
 
 def _frobenius_values(
     config: ChannelConfig, start: int, stop: int, seed: int
 ) -> np.ndarray:
     """Draws of X for sample indices ``[start, stop)``; partition-invariant."""
-    dims = config.dims
-    layer_sizes = [(dims[i], dims[i - 1]) for i in range(1, len(dims))]
-    doubles = 2 * sum(r * c for r, c in layer_sizes)
+    dims = config.canonical_dims
+    k, n = dims[0], config.n
+    shapes = [m - j for m in dims[1:] for j in range(k)]
+    ends = np.cumsum(shapes).tolist()
+    gamma_doubles = ends[-1]
+    pairs = k * (k - 1) // 2  # strict upper entries per factor
+    doubles = gamma_doubles + 2 * n * pairs
     out = np.empty(stop - start)
-    batch = max(1, _TARGET_WORDS_PER_BATCH // max(doubles, 1))
+    batch = max(1, _TARGET_WORDS_PER_BATCH // doubles)
     for s in range(start, stop, batch):
         b = min(batch, stop - s)
-        z = _normal_rows(seed, s, b, doubles)
-        offset = 0
-        prod = None
-        for rows, cols in layer_sizes:
-            h, offset = _complex_block(z, offset, rows, cols)
-            prod = h if prod is None else h @ prod
-        out[s - start : s - start + b] = np.einsum(
-            "bij,bij->b", prod, prod.conj()
-        ).real
+        rows = _uniform_rows(seed, s, b, doubles)
+        # batch-minor copy, one contiguous row per stream position; blocked,
+        # because a one-shot transpose of the whole batch thrashes the cache
+        u = np.empty((doubles, b))
+        for j in range(0, b, 1024):
+            u[:, j : j + 1024] = rows[j : j + 1024].T
+        logs = np.log(1.0 - u[:gamma_doubles])
+        # row by row in a fixed order: numpy's reductions sum pairwise along
+        # a single row, so a batch of one sample would round differently
+        sums = [sum(logs[lo + 1 : hi], logs[lo]) for lo, hi in zip([0] + ends, ends)]
+        # sqrt(2) times the Bartlett factors: chi_{2(m-j)} diagonals and
+        # standard normal parts, so X = ||T_n ... T_1||_F**2 / 2**n exactly
+        diag = np.sqrt(-2.0 * np.array(sums)).reshape(n, k, b)
+        pair_rows = u[gamma_doubles:]
+        upper = np.empty((n * pairs, b), dtype=complex)
+        upper.real, upper.imag = _box_muller(pair_rows[0::2], pair_rows[1::2])
+        chain = _triangle_chain_norm(diag, upper.reshape(n, pairs, b))
+        out[s - start : s - start + b] = chain * 0.5**n
     return out
 
 
@@ -251,7 +322,7 @@ def rayleigh_limit_distance(
     for s in range(0, count, batch):
         b = min(batch, count - s)
         z_rx = _normal_rows(seed, s, b, doubles_rx, tag=1)
-        g_rx, _ = _complex_block(z_rx, 0, kn, k0)
+        g_rx = _complex_block(z_rx, kn, k0)
         h = (g_rx if factor is None else g_rx @ factor[s : s + b]) / scale
         flat = h.reshape(b, -1)
         block = np.empty((b, doubles_rx))
@@ -295,8 +366,8 @@ def _nested_layer_gram(
     for r0 in range(0, rows, chunk):
         r1 = min(r0 + chunk, rows)
         u = gen.random(2 * (r1 - r0) * k0 * count).reshape(-1, count, 2)
-        z = _box_muller(u)
-        block = ((z[..., 0] + 1j * z[..., 1]) / np.sqrt(2.0)).reshape(
+        re, im = _box_muller(u[..., 0], u[..., 1])
+        block = ((re + 1j * im) / np.sqrt(2.0)).reshape(
             r1 - r0, k0, count
         )
         block = block.transpose(2, 0, 1)  # (count, rows_chunk, k0)

@@ -30,12 +30,18 @@ __all__ = [
 ]
 
 
-def db_to_linear(x_db: float) -> float:
-    return 10.0 ** (x_db / 10.0)
+def db_to_linear(x_db):
+    """``10 ** (x_db / 10)``; a scalar gives a float, an array-like an array."""
+    if np.ndim(x_db) == 0:
+        return 10.0 ** (float(x_db) / 10.0)
+    return 10.0 ** (np.asarray(x_db, dtype=float) / 10.0)
 
 
-def linear_to_db(x_lin: float) -> float:
-    return 10.0 * math.log10(x_lin)
+def linear_to_db(x_lin):
+    """``10 log10(x_lin)``; a scalar gives a float, an array-like an array."""
+    if np.ndim(x_lin) == 0:
+        return 10.0 * math.log10(x_lin)
+    return 10.0 * np.log10(np.asarray(x_lin, dtype=float))
 
 
 @dataclass(frozen=True)

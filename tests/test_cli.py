@@ -204,6 +204,13 @@ class TestErrorCodes:
         code, _, _ = _run(capsys, ["moments", "--dims", "2,3", "--bogus"])
         assert code == 2
 
+    def test_grid_points_below_two(self, capsys):
+        for points in ("-1", "0", "1"):
+            code, _, err = _run(capsys, ["cdf", "--dims", "2,3", "--grid-points", points])
+            assert code == 2
+            assert "--grid-points" in err
+            assert err.strip().count("\n") == 0
+
     def test_corrupt_model_cache(self, capsys, tmp_path):
         cache = tmp_path / "model.json"
         cache.write_text('{"alpha": 1.0, ')

@@ -9,18 +9,31 @@ from scipy.special import gammainc
 from scipy.stats import ks_2samp, kstest
 
 import rayprod
+import rayprod.montecarlo as montecarlo
 from rayprod import (
     ChannelConfig,
     Ecdf,
     ParameterError,
     closed_form_moment,
+    exact_moment,
     load_samples,
     rayleigh_limit_distance,
     sample_frobenius,
     save_samples,
     variance_recursion,
 )
-from rayprod.montecarlo import _frobenius_values, _ks_normal_statistic
+from rayprod.montecarlo import _box_muller, _frobenius_values, _ks_normal_statistic
+
+
+def _dense_reference(dims, count, seed):
+    """Draws of X from an explicit product ``H_n @ ... @ H_1`` of Gaussian matrices."""
+    rng = np.random.default_rng(seed)
+    prod = None
+    for rows, cols in zip(dims[1:], dims[:-1]):
+        shape = (count, rows, cols)
+        h = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / math.sqrt(2.0)
+        prod = h if prod is None else h @ prod
+    return np.sum(np.abs(prod) ** 2, axis=(1, 2))
 
 
 class TestSampleFrobenius:
@@ -58,6 +71,41 @@ class TestSampleFrobenius:
             ]
         )
         assert np.array_equal(whole, parts)
+
+    @pytest.mark.parametrize("dims", [(4, 2, 7), (3, 1, 4), (8, 7, 8, 4)])
+    def test_rotated_moments_match_exact(self, dims):
+        # K_min is not the first dim: the sampler works on the rotation
+        config = ChannelConfig(dims)
+        v = sample_frobenius(config, 2 * 10**5, 11).values
+        for m in (1, 2, 3, 4):
+            powers = v**m
+            se = powers.std(ddof=1) / math.sqrt(v.size)
+            assert abs(powers.mean() - float(exact_moment(config, m))) <= 4.0 * se
+
+    @pytest.mark.parametrize("dims", [(4, 2, 7), (2, 7, 8, 4)])
+    def test_matches_dense_reference(self, dims):
+        config = ChannelConfig(dims)
+        v = sample_frobenius(config, 20_000, 5).values
+        assert ks_2samp(v, _dense_reference(dims, 20_000, 5)).pvalue > 0.001
+
+    @pytest.mark.parametrize("dims", [(4, 2, 7), (2, 30, 40, 4)])
+    def test_partition_across_batches(self, dims, monkeypatch):
+        config = ChannelConfig(dims)
+        whole = _frobenius_values(config, 0, 40, 3)
+        for words in (1, 100, 700):  # one sample per batch, then a few
+            monkeypatch.setattr(montecarlo, "_TARGET_WORDS_PER_BATCH", words)
+            parts = [_frobenius_values(config, a, b, 3)
+                     for a, b in [(0, 1), (1, 6), (6, 23), (23, 40)]]
+            assert np.array_equal(np.concatenate(parts), whole)
+
+    def test_box_muller_matches_trig(self):
+        u1 = np.array([0.0, 0.3, 0.999, 0.5, 0.5, 0.5, 0.5, 0.7, 1.0 - 2.0**-53])
+        u2 = np.array([0.1, 0.0, 0.25, 0.5, 0.5 - 2.0**-53, 0.75, 1.0 - 2.0**-53, 0.3, 0.9])
+        re, im = _box_muller(u1, u2)
+        radius = np.sqrt(-2.0 * np.log1p(-u1))
+        angle = 2.0 * np.pi * u2
+        np.testing.assert_allclose(re, radius * np.cos(angle), rtol=0, atol=1e-14)
+        np.testing.assert_allclose(im, radius * np.sin(angle), rtol=0, atol=1e-14)
 
     def test_seeds_differ_but_agree_in_law(self):
         config = ChannelConfig((2, 3))
@@ -203,6 +251,14 @@ class TestPersistence:
         path = tmp_path / "junk.bin"
         path.write_bytes(b"x" * 64)
         with pytest.raises(ParameterError):
+            load_samples(path, ChannelConfig((2, 3)))
+
+    def test_rejects_version_1(self, tmp_path):
+        # version 1 files hold draws of the dense sampler of earlier releases
+        path = tmp_path / "old.bin"
+        header = montecarlo._HEADER.pack(montecarlo._MAGIC, 1, 2, 0)
+        path.write_bytes(header + np.zeros(2, dtype="<f8").tobytes())
+        with pytest.raises(ParameterError, match="version 1"):
             load_samples(path, ChannelConfig((2, 3)))
 
     def test_truncated(self, tmp_path):

@@ -182,6 +182,20 @@ def test_db_helpers():
     assert db_to_linear(0.0) == 1.0
     assert db_to_linear(10.0) == pytest.approx(10.0, rel=1e-14)
     assert linear_to_db(db_to_linear(7.3)) == pytest.approx(7.3, rel=1e-12)
+    assert type(db_to_linear(3)) is float and type(linear_to_db(2)) is float
+    np.testing.assert_allclose(linear_to_db(db_to_linear([-3.0, 0.0, 7.3])),
+                               [-3.0, 0.0, 7.3], rtol=1e-12, atol=1e-12)
+
+
+def test_db_list_feeds_outage_capacity():
+    config = ChannelConfig((2, 7, 8, 4))
+    model = _model(config.dims)
+    scheme = ostbc_catalog(2)
+    caps = outage_capacity(model, scheme, config, db_to_linear([0.0, 10.0]), 0.05)
+    assert caps.shape == (2,)
+    for snr_db, cap in zip((0.0, 10.0), caps):
+        scalar = outage_capacity(model, scheme, config, db_to_linear(snr_db), 0.05)
+        assert cap == pytest.approx(scalar, rel=1e-15)
 
 
 def test_normalized_mean_is_one():
