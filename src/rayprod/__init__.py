@@ -23,7 +23,6 @@ from .moments import (
     exact_moment,
     gamma_det_identity,
     leading_order_moment,
-    mgf_moment,
     mgf_moments,
     moment_set,
 )
@@ -39,8 +38,6 @@ from .montecarlo import (
 from .ostbc import (
     OstbcScheme,
     db_to_linear,
-    effective_snr,
-    linear_to_db,
     ostbc_catalog,
     outage_capacity,
     outage_probability,
@@ -64,14 +61,11 @@ __all__ = [
     "cdf_inverse",
     "closed_form_moment",
     "db_to_linear",
-    "effective_snr",
     "exact_moment",
     "fit",
     "gamma_det_identity",
     "leading_order_moment",
-    "linear_to_db",
     "load_samples",
-    "mgf_moment",
     "mgf_moments",
     "moment_set",
     "ostbc_catalog",

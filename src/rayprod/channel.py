@@ -56,20 +56,9 @@ class ChannelConfig:
         return self.dims[i:] + self.dims[:i]
 
     @property
-    def nu(self) -> tuple[int, ...]:
-        """Offsets ``nu_i = K_i - K_min`` of the canonical rotation, ``i = 0..n``."""
-        k0 = self.k_min
-        return tuple(k - k0 for k in self.canonical_dims)
-
-    @property
     def normalization(self) -> int:
         """Channel energy normalization, the product of all dims except ``K0``."""
         return math.prod(self.dims[1:])
-
-    @property
-    def mean_frobenius_sq(self) -> int:
-        """Exact mean of ``X = ||P||_F**2``, the product of all dims."""
-        return math.prod(self.dims)
 
     def prefix(self, n: int) -> "ChannelConfig":
         """Sub-channel built from the first ``n`` factors, dims ``(K0, ..., Kn)``."""

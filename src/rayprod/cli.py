@@ -9,8 +9,8 @@ simulate    seeded draws of X to a binary file plus summary statistics
 reproduce   multi-curve bundles for the three reference experiments
 
 Exit status: 0 on success, 2 for parameter errors, 3 for resource-guard
-errors, 4 for numeric failures.  All output is deterministic for a fixed
-argument list (including the seed), byte for byte.
+errors and exhausted memory, 4 for numeric failures.  All output is
+deterministic for a fixed argument list (including the seed), byte for byte.
 """
 
 from __future__ import annotations
@@ -20,12 +20,13 @@ import csv
 import io
 import json
 import os
+import re
 import sys
 
 import numpy as np
 
 from .channel import ChannelConfig
-from .errors import NumericError, ParameterError, ResourceError
+from .errors import FitError, NumericError, ParameterError, ResourceError
 from .gamma_laguerre import GammaLaguerreModel, cdf, fit
 from .moments import (
     closed_form_moment,
@@ -72,6 +73,12 @@ Monte-Carlo curve k uses seed (base seed + k); the base seed comes from
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # No option name starts with "-<digit>", so every such token is a
+        # value: "--snr-grid -5:30:3" and "--snr-db -5e-1" parse.
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
+
     def error(self, message):
         raise ParameterError(message)
 
@@ -165,7 +172,7 @@ def _fit_model(config: ChannelConfig, q: int, cache_path: str | None = None):
                 model = GammaLaguerreModel.from_json(fh.read())
         except OSError as exc:
             raise ParameterError(f"cannot read --model-cache {cache_path!r}: {exc.strerror}")
-        except (ValueError, KeyError, TypeError) as exc:
+        except (ValueError, KeyError, TypeError, FitError) as exc:
             raise ParameterError(
                 f"--model-cache {cache_path!r} is not a model file "
                 f"({type(exc).__name__}: {exc})"
@@ -448,6 +455,9 @@ def main(argv=None) -> int:
         return 2
     except ResourceError as exc:
         print(f"rayprod: resource error: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:
+        print(f"rayprod: resource error: out of memory ({exc})", file=sys.stderr)
         return 3
     except NumericError as exc:
         print(f"rayprod: numeric error: {exc}", file=sys.stderr)

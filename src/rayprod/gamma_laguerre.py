@@ -78,7 +78,7 @@ class GammaLaguerreModel:
         return cdf_inverse(self, p)
 
     def to_json(self) -> str:
-        """Serialize everything needed to rebuild the model bit-for-bit."""
+        """Serialize the fit and its source moments; see :meth:`from_json`."""
         return json.dumps(
             {
                 "alpha": self.alpha,
@@ -94,19 +94,18 @@ class GammaLaguerreModel:
 
     @classmethod
     def from_json(cls, text: str) -> "GammaLaguerreModel":
+        """Refit from the stored moments.
+
+        The stored ``alpha``, ``beta``, ``q`` and weights are informational:
+        the model is always what :func:`fit` makes of the moments.
+        """
         d = json.loads(text)
-        moments = MomentSet(
-            ChannelConfig(tuple(d["dims"])),
-            tuple(d["moment_values"]),
-            tuple(d["moment_methods"]),
-        )
-        return _assemble(
-            float(d["alpha"]),
-            float(d["beta"]),
-            int(d["q"]),
-            tuple(d["weights"]),
-            tuple(d["weights_scaled"]),
-            moments,
+        return fit(
+            MomentSet(
+                ChannelConfig(tuple(d["dims"])),
+                tuple(d["moment_values"]),
+                tuple(d["moment_methods"]),
+            )
         )
 
 
@@ -146,38 +145,6 @@ def _positive_real_roots(coeffs: np.ndarray) -> list[float]:
     return sorted(out)
 
 
-def _assemble(alpha, beta, q, weights, weights_scaled, moments) -> GammaLaguerreModel:
-    # Collapse the double correction sum into one basis weight per Gamma term:
-    # eps(x) = sum_j eps_basis[j] * P(alpha + j, x/beta).
-    eps_basis = [0.0] * (q + 1)
-    for j in range(q + 1):
-        acc = 0.0
-        for i in range(max(3, j), q + 1):
-            acc += weights_scaled[i] / math.factorial(i - j)
-        sign = 1.0 if j % 2 == 0 else -1.0
-        eps_basis[j] = sign * acc / math.factorial(j)
-    eps_basis = tuple(eps_basis)
-
-    # Interior stationary points of the raw CDF: positive real roots of the
-    # derivative polynomial.  All of them become running-max candidates.
-    candidates = _positive_real_roots(_derivative_poly(alpha, eps_basis))
-    peak_x = tuple(beta * u for u in candidates)
-    peak_cdf = tuple(
-        float(_raw_cdf(alpha, beta, eps_basis, xp)) for xp in peak_x
-    )
-    return GammaLaguerreModel(
-        alpha=float(alpha),
-        beta=float(beta),
-        q=int(q),
-        weights=tuple(float(w) for w in weights),
-        weights_scaled=tuple(float(w) for w in weights_scaled),
-        source_moments=moments,
-        eps_basis=eps_basis,
-        peak_x=peak_x,
-        peak_cdf=peak_cdf,
-    )
-
-
 def fit(moments: MomentSet) -> GammaLaguerreModel:
     """Match a Gamma base to the first two moments and weight the corrections.
 
@@ -189,8 +156,8 @@ def fit(moments: MomentSet) -> GammaLaguerreModel:
     var = moments.variance
     if not var > 0:
         raise FitError(f"nonpositive variance {var} from moments {moments.values[:2]}")
-    alpha = e1 * e1 / var
-    beta = var / e1
+    alpha = float(e1 * e1 / var)
+    beta = float(var / e1)
 
     q = moments.q
     # mu_l - 1 with mu_l = E[X^l] / ((alpha)_l beta^l); exact zero when the
@@ -222,7 +189,33 @@ def fit(moments: MomentSet) -> GammaLaguerreModel:
                 RuntimeWarning,
                 stacklevel=2,
             )
-    return _assemble(alpha, beta, q, weights, weights_scaled, moments)
+
+    # Collapse the double correction sum into one basis weight per Gamma term:
+    # eps(x) = sum_j eps_basis[j] * P(alpha + j, x/beta).
+    eps_basis = [0.0] * (q + 1)
+    for j in range(q + 1):
+        acc = 0.0
+        for i in range(max(3, j), q + 1):
+            acc += weights_scaled[i] / math.factorial(i - j)
+        sign = 1.0 if j % 2 == 0 else -1.0
+        eps_basis[j] = sign * acc / math.factorial(j)
+    eps_basis = tuple(eps_basis)
+
+    # Interior stationary points of the raw CDF: positive real roots of the
+    # derivative polynomial.  All of them become running-max candidates.
+    candidates = _positive_real_roots(_derivative_poly(alpha, eps_basis))
+    peak_x = tuple(beta * u for u in candidates)
+    return GammaLaguerreModel(
+        alpha=alpha,
+        beta=beta,
+        q=q,
+        weights=tuple(weights),
+        weights_scaled=tuple(weights_scaled),
+        source_moments=moments,
+        eps_basis=eps_basis,
+        peak_x=peak_x,
+        peak_cdf=tuple(float(_raw_cdf(alpha, beta, eps_basis, xp)) for xp in peak_x),
+    )
 
 
 def cdf(model: GammaLaguerreModel, x):

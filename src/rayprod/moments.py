@@ -11,9 +11,9 @@ suite:
   log domain with exactly rounded summation.
 * :func:`closed_form_moment` evaluates the closed products known for
   ``m = 1, 2, 3``.
-* :func:`mgf_moment` expands the moment generating function, a determinant
-  of truncated power series, and reads the moment off the ``s**m``
-  coefficient.  The determinant is computed division-free by expansion over
+* :func:`mgf_moments` expands the moment generating function, a determinant
+  of truncated power series, and reads the moments off its ``s**m``
+  coefficients.  The determinant is computed division-free by expansion over
   row subsets.
 
 :func:`leading_order_moment` provides the dominant term ``prod_i (K_i)_m /
@@ -38,7 +38,6 @@ __all__ = [
     "MomentSet",
     "exact_moment",
     "closed_form_moment",
-    "mgf_moment",
     "mgf_moments",
     "leading_order_moment",
     "moment_set",
@@ -161,23 +160,27 @@ def _exact_moment_rational(cdims: tuple[int, ...], m: int) -> Fraction:
 
 @functools.lru_cache(maxsize=None)
 def _exact_moment_float(cdims: tuple[int, ...], m: int) -> float:
-    """Partition sum in the signed log domain (canonical dims)."""
+    """Partition sum in the signed log domain (canonical dims).
+
+    The Vandermonde factor is accumulated one column pair at a time, so
+    memory stays linear in the composition count for any ``K0``.
+    """
     k0 = cdims[0]
     n = len(cdims) - 1
     nu = np.array([k - k0 for k in cdims])
     comps = _compositions(m, k0)
-    pos = comps + np.arange(1, k0 + 1, dtype=np.int64)
+    pos = np.ascontiguousarray((comps + np.arange(1, k0 + 1, dtype=np.int64)).T)
 
-    pairs_i, pairs_j = np.triu_indices(k0, k=1)
-    if pairs_i.size:
-        diffs = pos[:, pairs_j] - pos[:, pairs_i]
-        zero = (diffs == 0).any(axis=1)
-        sign = np.where((diffs < 0).sum(axis=1) % 2 == 0, 1.0, -1.0)
-        log_v = np.log(np.abs(np.where(diffs == 0, 1, diffs))).sum(axis=1)
-    else:
-        zero = np.zeros(comps.shape[0], dtype=bool)
-        sign = np.ones(comps.shape[0])
-        log_v = np.zeros(comps.shape[0])
+    count = comps.shape[0]
+    zero = np.zeros(count, dtype=bool)
+    negatives = np.zeros(count, dtype=np.int64)
+    log_v = np.zeros(count)
+    for i, j in zip(*np.triu_indices(k0, k=1)):
+        diff = pos[j] - pos[i]
+        zero |= diff == 0
+        negatives += diff < 0
+        log_v += np.log(np.abs(np.where(diff == 0, 1, diff)))
+    sign = np.where(negatives % 2 == 0, 1.0, -1.0)
 
     # G[j-1, a] = sum_i lnGamma(j+a+nu_i) - lnGamma(a+1) - sum_{i>=2} lnGamma(j+nu_i)
     j_col = np.arange(1, k0 + 1)[:, None]
@@ -409,16 +412,6 @@ def gamma_det_identity(k0: int, nu1: int, m: int) -> tuple[float, float]:
     return float(_det_bareiss(rows)), float(rhs)
 
 
-def mgf_moment(config: ChannelConfig, m: int) -> float:
-    """``E[X^m]`` extracted from the truncated-series MGF determinant."""
-    m = int(m)
-    if m < 0:
-        raise ParameterError(f"moment order must be >= 0, got {m}")
-    if m == 0:
-        return 1.0
-    return mgf_moments(config, m)[m]
-
-
 def leading_order_moment(config: ChannelConfig, m: int) -> float:
     """Dominant higher-moment term ``prod_i (K_i)_m / m!``."""
     m = int(m)
@@ -431,31 +424,21 @@ def leading_order_moment(config: ChannelConfig, m: int) -> float:
     return float(total)
 
 
-def moment_set(config: ChannelConfig, q: int, policy: str = "auto") -> MomentSet:
+def moment_set(config: ChannelConfig, q: int) -> MomentSet:
     """Moments ``m = 1 .. q`` with per-entry provenance.
 
-    ``policy`` selects the route: ``"auto"`` uses the exact partition sum
-    wherever its guards allow and falls back to the leading-order term,
-    ``"exact"`` never falls back (guard errors propagate), and
-    ``"leading_order"`` forces the cheap approximation for every order.
+    Each order uses the exact partition sum wherever its guards allow and
+    falls back to the leading-order term otherwise.
     """
     q = int(q)
     if q < 1:
         raise ParameterError(f"q must be >= 1, got {q}")
-    if policy not in ("auto", "exact", "leading_order"):
-        raise ParameterError(f"unknown policy {policy!r}")
     values, methods = [], []
     for m in range(1, q + 1):
-        if policy == "leading_order":
-            values.append(leading_order_moment(config, m))
-            methods.append("leading_order")
-            continue
         try:
             values.append(exact_moment(config, m))
             methods.append("exact_partition")
         except ResourceError:
-            if policy == "exact":
-                raise
             values.append(leading_order_moment(config, m))
             methods.append("leading_order")
     return MomentSet(config, tuple(values), tuple(methods))

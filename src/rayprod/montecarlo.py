@@ -92,10 +92,6 @@ class Ecdf:
     def from_samples(cls, samples: SampleSet) -> "Ecdf":
         return cls(samples.values)
 
-    @property
-    def sorted_values(self) -> np.ndarray:
-        return self._sorted
-
     def __call__(self, x):
         idx = np.searchsorted(self._sorted, np.asarray(x, dtype=float), side="right")
         out = idx / self._sorted.size
@@ -316,21 +312,16 @@ def rayleigh_limit_distance(
         )
 
     doubles_rx = 2 * k0 * kn
-    pooled = np.empty(doubles_rx * count)
     batch = max(1, _TARGET_WORDS_PER_BATCH // doubles_rx)
-    pos = 0
+    parts = []
     for s in range(0, count, batch):
         b = min(batch, count - s)
         z_rx = _normal_rows(seed, s, b, doubles_rx, tag=1)
         g_rx = _complex_block(z_rx, kn, k0)
         h = (g_rx if factor is None else g_rx @ factor[s : s + b]) / scale
-        flat = h.reshape(b, -1)
-        block = np.empty((b, doubles_rx))
-        block[:, : doubles_rx // 2] = flat.real * np.sqrt(2.0)
-        block[:, doubles_rx // 2 :] = flat.imag * np.sqrt(2.0)
-        pooled[pos : pos + b * doubles_rx] = block.ravel()
-        pos += b * doubles_rx
-    return _ks_normal_statistic(pooled)
+        parts += [h.real.ravel(), h.imag.ravel()]
+    # The statistic sorts its input, so the pool order is immaterial.
+    return _ks_normal_statistic(np.concatenate(parts) * np.sqrt(2.0))
 
 
 def _ks_normal_statistic(values: np.ndarray) -> float:

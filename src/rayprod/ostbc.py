@@ -10,7 +10,6 @@ only.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -22,11 +21,9 @@ from .errors import ParameterError
 __all__ = [
     "OstbcScheme",
     "ostbc_catalog",
-    "effective_snr",
     "outage_probability",
     "outage_capacity",
     "db_to_linear",
-    "linear_to_db",
 ]
 
 
@@ -35,13 +32,6 @@ def db_to_linear(x_db):
     if np.ndim(x_db) == 0:
         return 10.0 ** (float(x_db) / 10.0)
     return 10.0 ** (np.asarray(x_db, dtype=float) / 10.0)
-
-
-def linear_to_db(x_lin):
-    """``10 log10(x_lin)``; a scalar gives a float, an array-like an array."""
-    if np.ndim(x_lin) == 0:
-        return 10.0 * math.log10(x_lin)
-    return 10.0 * np.log10(np.asarray(x_lin, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -98,16 +88,6 @@ def _snr_denominator(scheme: OstbcScheme, config: ChannelConfig, gamma) -> float
     if not np.all(np.asarray(gamma) > 0):
         raise ParameterError(f"transmit SNR must be positive, got {gamma}")
     return float(scheme.rate) * config.dims[0] * config.normalization
-
-
-def effective_snr(
-    scheme: OstbcScheme, config: ChannelConfig, gamma: float, x: float
-) -> float:
-    """Post-decoder scalar SNR ``gamma * x / (R * K0 * N)`` (linear)."""
-    denominator = _snr_denominator(scheme, config, gamma)
-    if x < 0:
-        raise ParameterError(f"channel energy must be nonnegative, got {x}")
-    return gamma * x / denominator
 
 
 def outage_probability(

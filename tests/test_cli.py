@@ -113,6 +113,20 @@ class TestOutage:
         ])
         assert code == 0
 
+    def test_negative_values_parse(self, capsys):
+        # a value starting with "-" is a value, spaced or joined with "="
+        base = ["outage", "--dims", "2,7,8,4", "--q", "4", "--pout", "0.05"]
+        code, spaced, _ = _run(capsys, base + ["--snr-grid", "-5:30:3"])
+        assert code == 0
+        code, joined, _ = _run(capsys, base + ["--snr-grid=-5:30:3"])
+        assert code == 0
+        assert spaced == joined
+        assert [r[0] for r in _rows(spaced)[1]] == ["-5.0", "12.5", "30.0"]
+        code, out, _ = _run(capsys, ["outage", "--dims", "2,7,8,4", "--q", "4",
+                                     "--z-grid", "0.1:1:2", "--snr-db", "-5e-1"])
+        assert code == 0
+        assert len(_rows(out)[1]) == 2
+
     def test_needs_a_target(self, capsys):
         code, _, err = _run(capsys, ["outage", "--dims", "2,3", "--q", "2"])
         assert code == 2
@@ -213,11 +227,19 @@ class TestErrorCodes:
 
     def test_corrupt_model_cache(self, capsys, tmp_path):
         cache = tmp_path / "model.json"
-        cache.write_text('{"alpha": 1.0, ')
-        code, _, err = _run(capsys, ["cdf", "--dims", "2,3", "--model-cache", str(cache)])
-        assert code == 2
-        assert "--model-cache" in err
-        assert err.strip().count("\n") == 0
+        truncated = '{"alpha": 1.0, '
+        # moments whose variance is not positive: the reload fit fails
+        degenerate = ('{"alpha": 1.0, "beta": 1.0, "q": 2, "dims": [2, 3], '
+                      '"weights": [1.0, 0.0, 0.0], "weights_scaled": [1.0, 0.0, 0.0], '
+                      '"moment_values": [6.0, 30.0], '
+                      '"moment_methods": ["exact_partition", "exact_partition"]}')
+        for text in (truncated, degenerate):
+            cache.write_text(text)
+            code, _, err = _run(capsys, ["cdf", "--dims", "2,3", "--q", "2",
+                                         "--model-cache", str(cache)])
+            assert code == 2
+            assert "--model-cache" in err
+            assert err.strip().count("\n") == 0
 
     def test_unwritable_out(self, capsys, tmp_path):
         out = tmp_path / "missing" / "moments.csv"
@@ -238,3 +260,9 @@ class TestErrorCodes:
             cli, "_cmd_moments", lambda args: (_ for _ in ()).throw(NumericError("diverged"))
         )
         assert cli.main(["moments", "--dims", "2,3"]) == 4
+        capsys.readouterr()
+        monkeypatch.setattr(
+            cli, "_cmd_moments", lambda args: (_ for _ in ()).throw(MemoryError("4 GiB"))
+        )
+        assert cli.main(["moments", "--dims", "2,3"]) == 3
+        assert capsys.readouterr().err.strip().count("\n") == 0

@@ -202,11 +202,31 @@ class TestSerialization:
         assert clone.weights == model.weights
         assert clone.weights_scaled == model.weights_scaled
         assert clone.source_moments.config.dims == (2, 6, 8, 4)
+        assert clone == model
         grid = np.linspace(0.0, model.mean + 10.0 * model.std, 257)
         raw_a, reg_a = cdf(model, grid)
         raw_b, reg_b = cdf(clone, grid)
         assert np.array_equal(raw_a, raw_b)
         assert np.array_equal(reg_a, reg_b)
+
+    def test_load_refits_edited_cache(self):
+        # a cache file as written before loading refit from the moments, with
+        # its alpha and weights edited: the load ignores them
+        payload = json.loads(
+            '{"alpha": 2.6666666666666665, "beta": 9.0, "q": 4, "dims": [2, 3, 4], '
+            '"weights": [0.6646393004594835, 0.0, 1.9080995023925688e-16, '
+            '-0.02589503768023935, -0.009985668125059374], "weights_scaled": '
+            '[1.0, 0.0, 2.807082412879408e-15, -1.7777777777777586, '
+            '-3.8847736625513036], "moment_values": [24.0, 792.0, 34560.0, '
+            '1935360.0], "moment_methods": ["exact_partition", "exact_partition", '
+            '"exact_partition", "exact_partition"]}'
+        )
+        reference = fit(moment_set(ChannelConfig((2, 3, 4)), 4))
+        assert GammaLaguerreModel.from_json(json.dumps(payload)) == reference
+        payload["alpha"] = 3.5
+        payload["weights"] = [1.0, 2.0, 3.0, 4.0, 5.0]
+        payload["weights_scaled"] = [0.0] * 5
+        assert GammaLaguerreModel.from_json(json.dumps(payload)) == reference
 
     def test_schema_fields(self):
         model = fit(moment_set(ChannelConfig((2, 3)), 4))

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.special import gammaln
 
 from rayprod import (
     ChannelConfig,
@@ -13,7 +14,6 @@ from rayprod import (
     closed_form_moment,
     exact_moment,
     leading_order_moment,
-    mgf_moment,
     mgf_moments,
     moment_set,
 )
@@ -25,15 +25,38 @@ from rayprod.moments import (
 )
 
 
+def _dense_partition_sum(cdims, m):
+    """Signed log-domain partition sum from the full pair-difference matrix."""
+    k0, nu = cdims[0], [k - cdims[0] for k in cdims]
+    comps = _compositions(m, k0)
+    pos = comps + np.arange(1, k0 + 1)
+    pairs_i, pairs_j = np.triu_indices(k0, k=1)
+    diffs = pos[:, pairs_j] - pos[:, pairs_i]
+    sign = np.where((diffs < 0).sum(axis=1) % 2 == 0, 1.0, -1.0)
+    log_v = np.log(np.abs(np.where(diffs == 0, 1, diffs))).sum(axis=1)
+    j_col, a_row = np.arange(1, k0 + 1)[:, None], np.arange(m + 1)[None, :]
+    g = -gammaln(a_row + 1.0) * np.ones((k0, 1))
+    for i in range(1, len(cdims)):
+        g = g + gammaln(j_col + a_row + nu[i])
+    for i in range(2, len(cdims)):
+        g = g - gammaln(j_col + nu[i])
+    log_terms = log_v + g[np.arange(k0)[None, :], comps].sum(axis=1)
+    keep = ~(diffs == 0).any(axis=1)
+    peak = log_terms[keep].max()
+    acc = math.fsum((sign[keep] * np.exp(log_terms[keep] - peak)).tolist())
+    log_norm = math.fsum(
+        float(gammaln(j) + gammaln(j + nu[1])) for j in range(1, k0 + 1)
+    )
+    return acc * math.exp(peak + float(gammaln(m + 1)) - log_norm)
+
+
 class TestChannelConfig:
     def test_derived_quantities(self):
         c = ChannelConfig((4, 2, 3))
         assert c.n == 2
         assert c.k_min == 2
         assert c.canonical_dims == (2, 3, 4)
-        assert c.nu == (0, 1, 2)
         assert c.normalization == 6
-        assert c.mean_frobenius_sq == 24
 
     def test_prefixes(self):
         c = ChannelConfig((2, 3, 4))
@@ -99,6 +122,15 @@ class TestExactMoment:
                 fl = _exact_moment_float(c.canonical_dims, m)
                 assert fl == pytest.approx(float(exact), rel=1e-10)
 
+    def test_float_path_matches_dense_pair_matrix(self):
+        # the float path accumulates the Vandermonde factor one column pair at
+        # a time; the result is bit-identical to holding all pair differences
+        for dims in [(12, 12, 12), (20, 20), (5, 9, 3, 7), (1, 4, 6)]:
+            cdims = ChannelConfig(dims).canonical_dims
+            for m in range(1, 5):
+                got = _exact_moment_float.__wrapped__(cdims, m)
+                assert got.hex() == _dense_partition_sum(cdims, m).hex(), (dims, m)
+
     def test_guards(self):
         with pytest.raises(ResourceError):
             exact_moment(ChannelConfig((2, 3)), 13)
@@ -129,9 +161,9 @@ class TestClosedFormMoment:
 
 class TestMgfMoment:
     def test_known_values(self):
-        assert mgf_moment(ChannelConfig((2, 3)), 3) == pytest.approx(336.0, rel=1e-10)
-        assert mgf_moment(ChannelConfig((5, 2, 7)), 0) == 1.0
-        assert mgf_moment(ChannelConfig((2, 3, 4)), 2) == pytest.approx(
+        assert mgf_moments(ChannelConfig((2, 3)), 3)[3] == pytest.approx(336.0, rel=1e-10)
+        assert mgf_moments(ChannelConfig((5, 2, 7)), 0)[0] == 1.0
+        assert mgf_moments(ChannelConfig((2, 3, 4)), 2)[2] == pytest.approx(
             exact_moment(ChannelConfig((2, 3, 4)), 2), rel=1e-10
         )
 
@@ -144,9 +176,9 @@ class TestMgfMoment:
 
     def test_guards(self):
         with pytest.raises(ResourceError):
-            mgf_moment(ChannelConfig((2, 3)), 9)
+            mgf_moments(ChannelConfig((2, 3)), 9)
         with pytest.raises(ResourceError):
-            mgf_moment(ChannelConfig((9, 9)), 2)
+            mgf_moments(ChannelConfig((9, 9)), 2)
 
 
 class TestLeadingOrderMoment:
@@ -178,17 +210,14 @@ class TestMomentSet:
         ms = moment_set(ChannelConfig((4, 4)), 1)
         assert ms.values == (16.0,)
 
-    def test_policies(self):
+    def test_leading_order_fallback(self):
+        # orders past the exact guards (m <= 12) fall back to the leading term
         c = ChannelConfig((2, 3))
-        lead = moment_set(c, 3, policy="leading_order")
-        assert all(m == "leading_order" for m in lead.methods)
-        assert lead.values[0] == 6.0  # first leading-order term is already exact
+        fallback = moment_set(c, 13)
+        assert fallback.methods == ("exact_partition",) * 12 + ("leading_order",)
+        assert fallback.values[-1] == leading_order_moment(c, 13)
         with pytest.raises(ResourceError):
-            moment_set(c, 13, policy="exact")
-        fallback = moment_set(c, 13, policy="auto")
-        assert fallback.methods[-1] == "leading_order"
-        with pytest.raises(ParameterError):
-            moment_set(c, 3, policy="bogus")
+            exact_moment(c, 13)
 
     def test_moments_increase_and_are_log_convex(self):
         rng = np.random.default_rng(12)

@@ -10,9 +10,7 @@ from rayprod import (
     OstbcScheme,
     ParameterError,
     db_to_linear,
-    effective_snr,
     fit,
-    linear_to_db,
     moment_set,
     ostbc_catalog,
     outage_capacity,
@@ -47,27 +45,6 @@ class TestCatalog:
             OstbcScheme(2, 3, 2)  # rate above one
         with pytest.raises(ParameterError):
             ostbc_catalog(0)
-
-
-class TestEffectiveSnr:
-    def test_direct_substitution(self):
-        scheme = ostbc_catalog(2)  # R = 1
-        config = ChannelConfig((2, 3, 4))  # normalization 12
-        assert effective_snr(scheme, config, 24.0, 1.0) == pytest.approx(1.0, rel=1e-14)
-
-    def test_zero_energy(self):
-        assert effective_snr(ostbc_catalog(2), ChannelConfig((2, 3)), 5.0, 0.0) == 0.0
-
-    def test_algebraic_inverse(self):
-        scheme = ostbc_catalog(4)
-        config = ChannelConfig((4, 8, 4))
-        gamma = 7.3
-        x = float(scheme.rate) * 4 * config.normalization / gamma
-        assert effective_snr(scheme, config, gamma, x) == pytest.approx(1.0, rel=1e-12)
-
-    def test_mismatched_antennas(self):
-        with pytest.raises(ParameterError):
-            effective_snr(ostbc_catalog(2), ChannelConfig((4, 4)), 1.0, 1.0)
 
 
 class TestOutageProbability:
@@ -181,10 +158,20 @@ class TestOutageCapacity:
 def test_db_helpers():
     assert db_to_linear(0.0) == 1.0
     assert db_to_linear(10.0) == pytest.approx(10.0, rel=1e-14)
-    assert linear_to_db(db_to_linear(7.3)) == pytest.approx(7.3, rel=1e-12)
-    assert type(db_to_linear(3)) is float and type(linear_to_db(2)) is float
-    np.testing.assert_allclose(linear_to_db(db_to_linear([-3.0, 0.0, 7.3])),
+    assert 10.0 * math.log10(db_to_linear(7.3)) == pytest.approx(7.3, rel=1e-12)
+    assert type(db_to_linear(3)) is float
+    np.testing.assert_allclose(10.0 * np.log10(db_to_linear([-3.0, 0.0, 7.3])),
                                [-3.0, 0.0, 7.3], rtol=1e-12, atol=1e-12)
+
+
+def test_mismatched_antennas():
+    # a 2-antenna scheme cannot drive a channel with 4 transmit antennas
+    model = _model((4, 4))
+    scheme, config = ostbc_catalog(2), ChannelConfig((4, 4))
+    with pytest.raises(ParameterError):
+        outage_probability(model, scheme, config, 1.0, 0.5)
+    with pytest.raises(ParameterError):
+        outage_capacity(model, scheme, config, 1.0, 0.05)
 
 
 def test_db_list_feeds_outage_capacity():
