@@ -19,6 +19,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import re
 import sys
@@ -99,9 +100,23 @@ def _parse_grid(text: str) -> np.ndarray:
         start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError:
         raise ParameterError(f"cannot parse grid {text!r}; expected start:stop:count")
+    # stop - start is NaN or infinite when either end is, and when it overflows.
+    if not math.isfinite(stop - start):
+        raise ParameterError(f"grid {text!r} needs finite start, stop and stop - start")
     if count < 2 or stop <= start:
         raise ParameterError(f"grid {text!r} needs stop > start and count >= 2")
     return np.linspace(start, stop, count)
+
+
+def _finite_float(text: str) -> float:
+    """argparse type: a float that is neither infinite nor NaN."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
 
 
 def _parse_scheme(args, config: ChannelConfig) -> OstbcScheme:
@@ -411,7 +426,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("outage", help="outage probability or outage capacity curve")
     add_common(p)
     p.add_argument("--q", type=int, default=6)
-    p.add_argument("--snr-db", type=float, help="transmit SNR in dB (with --z-grid)")
+    p.add_argument("--snr-db", type=_finite_float, help="transmit SNR in dB (with --z-grid)")
     p.add_argument("--snr-grid", help="SNR grid start:stop:count in dB (with --pout)")
     p.add_argument("--z-grid", help="rate grid start:stop:count in nats/s/Hz")
     p.add_argument("--pout", type=float, help="target outage probability in (0,1)")
@@ -438,7 +453,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--out", help="output path (default: <figure>.csv)")
     p.add_argument("--samples", type=int, default=10**6)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--snr-db", type=float,
+    p.add_argument("--snr-db", type=_finite_float,
                    help="fig2 transmit SNR in dB (default 10; not stated by the source)")
     p.add_argument("--bits", action="store_true")
     p.set_defaults(func=_cmd_reproduce)

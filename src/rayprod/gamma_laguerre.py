@@ -1,7 +1,8 @@
 """Moment-matched Gamma base plus Laguerre-type correction for the CDF of X.
 
 The approximation is ``F(x) ~= P(alpha, x/beta) + eps(x)`` with ``P`` the
-regularized lower incomplete Gamma function, ``(alpha, beta)`` matched to the
+regularized lower incomplete Gamma function (evaluated here, see
+:func:`_reg_lower_gamma`), ``(alpha, beta)`` matched to the
 first two moments, and ``eps`` a finite correction series driven by moments
 three and up.  Matching forces the first- and second-order correction
 weights to vanish; for a single-factor channel (n = 1) every correction
@@ -25,11 +26,11 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammainc, gammaln
 
 from .channel import ChannelConfig
 from .errors import FitError, NumericError, ParameterError
@@ -40,6 +41,14 @@ __all__ = ["GammaLaguerreModel", "fit", "cdf", "cdf_inverse"]
 _WEIGHT_WARN_MAGNITUDE = 1e6
 _INVERSE_TOL_P = 1e-10
 _MAX_BRACKET_DOUBLINGS = 60
+
+_EPS = sys.float_info.epsilon
+_TINY = 1e-300  # Lentz guard against a zero denominator
+_HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
+# Stirling series lgamma(a) - ((a - 1/2) log a - a + log(2 pi)/2) =
+# sum_k B_2k / (2k (2k - 1) a^(2k - 1)); seven terms reach 3e-17 at a = 10.
+_STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360, 1 / 156)
+_STIRLING_MIN_A = 10.0
 
 
 @dataclass(frozen=True)
@@ -109,12 +118,177 @@ class GammaLaguerreModel:
         )
 
 
+def _stirling_remainder(a: float) -> float:
+    r = 1.0 / (a * a)
+    acc = 0.0
+    for c in reversed(_STIRLING):
+        acc = acc * r + c
+    return acc / a
+
+
+def _log_prefactor(a: float, u: float) -> float:
+    """``log(u**a * exp(-u) / Gamma(a))`` for ``a > 0`` and finite ``u > 0``.
+
+    Near the peak of a large shape, ``a log u - u - lgamma(a)`` cancels
+    terms of size ``a log a``; there the Stirling form keeps only the small
+    difference ``a (log1p(x) - x)`` with ``x = (u - a) / a``.  The logs are
+    numpy's, as in :func:`_log_prefactor_array`: :mod:`math` rounds some
+    differently, and ``exp`` of a log-prefactor of size 200 turns that one
+    ulp into a hundred in ``P``.
+    """
+    x = (u - a) / a
+    if a >= _STIRLING_MIN_A and abs(x) <= 0.5:
+        return (a * (float(np.log1p(x)) - x) + 0.5 * math.log(a) - _HALF_LOG_2PI
+                - _stirling_remainder(a))
+    return a * float(np.log(u)) - u - math.lgamma(a)
+
+
+def _log_prefactor_array(a: float, u: np.ndarray) -> np.ndarray:
+    """:func:`_log_prefactor` over an array of finite ``u > 0``."""
+    out = a * np.log(u) - u - math.lgamma(a)
+    if a >= _STIRLING_MIN_A:
+        x = (u - a) / a
+        near = np.abs(x) <= 0.5
+        xn = x[near]
+        out[near] = (a * (np.log1p(xn) - xn) + 0.5 * math.log(a) - _HALF_LOG_2PI
+                     - _stirling_remainder(a))
+    return out
+
+
+def _prefactor(a: float, u):
+    """``u**a * exp(-u) / Gamma(a)``, zero unless ``0 < u < inf``.
+
+    A float for a float ``u``, else an array.
+    """
+    if isinstance(u, float):
+        return float(np.exp(_log_prefactor(a, u))) if 0.0 < u < math.inf else 0.0
+    out = np.zeros(u.shape)
+    mid = (u > 0.0) & (u < np.inf)
+    out[mid] = np.exp(_log_prefactor_array(a, u[mid]))
+    return out
+
+
+def _reg_lower_gamma(a: float, u, scale=None):
+    """Regularized lower incomplete Gamma ``P(a, u)``, ``a > 0``, ``u >= 0``.
+
+    For ``u < a + 1`` the series ``P = u^a e^-u / Gamma(a + 1) * sum_n u^n /
+    ((a + 1) ... (a + n))`` adds positive terms; otherwise ``Q = 1 - P``
+    comes from its continued fraction by the modified Lentz method.  Both
+    stop once a step changes the result by less than one unit in the last
+    place.  A float ``u`` runs a plain Python loop, an array a masked numpy
+    loop; both do the same arithmetic with the same ``exp``/``log``, so they
+    agree bit for bit.  ``scale`` is :func:`_prefactor` at ``(a, u)``, for a
+    caller that already has it.
+    """
+    if isinstance(u, float):
+        return _reg_lower_gamma_scalar(a, u, _prefactor(a, u) if scale is None else scale)
+    u = np.asarray(u, dtype=float)
+    return _reg_lower_gamma_array(a, u, _prefactor(a, u) if scale is None else scale)
+
+
+def _reg_lower_gamma_scalar(a: float, u: float, scale: float) -> float:
+    if u == 0.0:
+        return 0.0
+    if u == math.inf:
+        return 1.0
+    if 0.0 < u < a + 1.0:
+        ap = a
+        term = total = 1.0 / a
+        while term > total * _EPS:
+            ap += 1.0
+            term *= u / ap
+            total += term
+        return total * scale
+    if not u >= a + 1.0:
+        return math.nan
+    b = u + 1.0 - a
+    c = 1.0 / _TINY
+    d = 1.0 / b
+    h = d
+    delta = 2.0
+    i = 0
+    while abs(delta - 1.0) > _EPS:
+        i += 1
+        an = -i * (i - a)
+        b += 2.0
+        d = an * d + b
+        if abs(d) < _TINY:
+            d = _TINY
+        c = b + an / c
+        if abs(c) < _TINY:
+            c = _TINY
+        d = 1.0 / d
+        delta = d * c
+        h *= delta
+    return 1.0 - scale * h
+
+
+def _reg_lower_gamma_array(a: float, u: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    # Each loop runs the scalar iteration on every point at once; a point
+    # that has met its stop is frozen (no term added, no factor applied).
+    out = np.full(u.shape, np.nan)
+    out[u == 0.0] = 0.0
+    out[u == np.inf] = 1.0
+
+    series = (u > 0.0) & (u < a + 1.0)
+    v = u[series]
+    ap = a
+    term = np.full(v.shape, 1.0 / a)
+    total = term.copy()
+    while term.any():
+        ap += 1.0
+        term *= v / ap
+        total += term
+        term[~(term > total * _EPS)] = 0.0
+    out[series] = total * scale[series]
+
+    fraction = (u >= a + 1.0) & (u < np.inf)
+    b = u[fraction] + 1.0 - a
+    c = np.full(b.shape, 1.0 / _TINY)
+    d = 1.0 / b
+    h = d.copy()
+    live = np.ones(b.shape, dtype=bool)
+    i = 0
+    while live.any():
+        i += 1
+        an = -i * (i - a)
+        b += 2.0
+        d = an * d + b
+        d[np.abs(d) < _TINY] = _TINY
+        c = b + an / c
+        c[np.abs(c) < _TINY] = _TINY
+        d = 1.0 / d
+        delta = np.where(live, d * c, 1.0)
+        h *= delta
+        live &= np.abs(delta - 1.0) > _EPS
+    out[fraction] = 1.0 - scale[fraction] * h
+    return out
+
+
 def _raw_cdf(alpha: float, beta: float, eps_basis, x):
-    u = np.asarray(x, dtype=float) / beta
-    out = gammainc(alpha, u)
+    """The truncated series at ``x``: a float for a float, else an array."""
+    # The clamp keeps u = inf (P = 1, zero prefactor) out of 0 * inf below.
+    if isinstance(x, float):
+        u = min(x / beta, sys.float_info.max)
+    else:
+        u = np.minimum(np.asarray(x, dtype=float) / beta, sys.float_info.max)
+    # P(alpha + j, u) for j = top .. 0 from one incomplete-Gamma evaluation,
+    # recurring down with P(a, u) = P(a + 1, u) + u^a e^-u / Gamma(a + 1):
+    # every added term is positive, so no tail is left to cancellation.  The
+    # prefactor climbs from a = alpha alongside the terms.
+    top = max((j for j, b in enumerate(eps_basis) if b != 0.0), default=0)
+    scale = _prefactor(alpha, u)
+    terms = []
+    for j in range(top):
+        terms.append(scale / (alpha + j))
+        scale = terms[-1] * u
+    p = [None] * top + [_reg_lower_gamma(alpha + top, u, scale)]
+    for j in reversed(range(top)):
+        p[j] = p[j + 1] + terms[j]
+    out = p[0]
     for j, b in enumerate(eps_basis):
         if b != 0.0:
-            out = out + b * gammainc(alpha + j, u)
+            out = out + b * p[j]
     return out
 
 
@@ -170,7 +344,7 @@ def fit(moments: MomentSet) -> GammaLaguerreModel:
 
     weights = [0.0] * (q + 1)
     weights_scaled = [0.0] * (q + 1)
-    inv_gamma_alpha = math.exp(-float(gammaln(alpha)))
+    inv_gamma_alpha = math.exp(-math.lgamma(alpha))
     weights[0] = inv_gamma_alpha
     weights_scaled[0] = 1.0
     poch = 1.0
@@ -228,7 +402,8 @@ def cdf(model: GammaLaguerreModel, x):
     arr = np.asarray(x, dtype=float)
     if np.any(arr < 0):
         raise ParameterError("cdf requires x >= 0")
-    raw = _raw_cdf(model.alpha, model.beta, model.eps_basis, arr)
+    raw = _raw_cdf(model.alpha, model.beta, model.eps_basis,
+                   float(arr) if arr.ndim == 0 else arr)
     if model.peak_x:
         px = np.asarray(model.peak_x)
         prefix = np.maximum.accumulate(np.asarray(model.peak_cdf))

@@ -24,12 +24,12 @@ partition sum is too expensive.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.special import gammaln
 
 from .channel import ChannelConfig
 from .errors import ParameterError, ResourceError
@@ -93,21 +93,25 @@ def composition_count(m: int, k0: int) -> int:
     return math.comb(m + k0 - 1, k0 - 1)
 
 
-@functools.lru_cache(maxsize=None)
 def _compositions(m: int, k: int) -> np.ndarray:
-    """All weak compositions of ``m`` into ``k`` parts, lexicographic rows."""
-    if k == 1:
-        out = np.array([[m]], dtype=np.int64)
-    else:
-        blocks = []
-        for first in range(m + 1):
-            rest = _compositions(m - first, k - 1)
-            block = np.empty((rest.shape[0], k), dtype=np.int64)
-            block[:, 0] = first
-            block[:, 1:] = rest
-            blocks.append(block)
-        out = np.vstack(blocks)
-    out.setflags(write=False)
+    """All weak compositions of ``m`` into ``k`` parts, lexicographic rows.
+
+    Stars and bars: a composition puts ``m`` stars and ``k - 1`` bars in a
+    row, and a star's part is the number of bars before it.  Star positions
+    in lexicographic order give the compositions in reverse lexicographic
+    order, so the rows are filled from the last.
+    """
+    count = composition_count(m, k)
+    stars = np.fromiter(
+        itertools.chain.from_iterable(itertools.combinations(range(m + k - 1), m)),
+        dtype=np.int64,
+        count=count * m,
+    ).reshape(count, m)
+    stars -= np.arange(m, dtype=np.int64)
+    out = np.zeros((count, k), dtype=np.int64)
+    rows = np.arange(count - 1, -1, -1)
+    for j in range(m):
+        out[rows, stars[:, j]] += 1
     return out
 
 
@@ -165,6 +169,10 @@ def _exact_moment_float(cdims: tuple[int, ...], m: int) -> float:
     The Vandermonde factor is accumulated one column pair at a time, so
     memory stays linear in the composition count for any ``K0``.
     """
+    # Imported here: this route runs only above _RATIONAL_TERM_CAP
+    # compositions, and scipy costs more to import than the whole package.
+    from scipy.special import gammaln
+
     k0 = cdims[0]
     n = len(cdims) - 1
     nu = np.array([k - k0 for k in cdims])

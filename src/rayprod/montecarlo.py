@@ -42,7 +42,6 @@ import struct
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import ndtr
 
 from .channel import ChannelConfig
 from .errors import ParameterError
@@ -330,6 +329,9 @@ def _ks_normal_statistic(values: np.ndarray) -> float:
     ``max(D+, D-)`` over the sorted values, with the same arithmetic as
     ``scipy.stats.kstest(values, "norm").statistic``.
     """
+    # Imported here so that importing the package does not load scipy.
+    from scipy.special import ndtr
+
     x = np.sort(values)
     n = x.size
     cdf = ndtr(x)

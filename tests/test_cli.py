@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import math
+import warnings
 
 import pytest
 
@@ -224,6 +225,30 @@ class TestErrorCodes:
             assert code == 2
             assert "--grid-points" in err
             assert err.strip().count("\n") == 0
+
+    def test_non_finite_grid_and_snr(self, capsys):
+        base = ["outage", "--dims", "2,4"]
+        cases = [
+            ["--snr-db", "10", "--z-grid", "0:nan:3"],
+            ["--snr-db", "10", "--z-grid", "0:inf:3"],
+            ["--snr-db", "10", "--z-grid", "nan:1:3"],
+            ["--snr-db", "10", "--z-grid", "-1e308:1e308:3"],
+            ["--snr-db", "inf", "--z-grid", "0:1:3"],
+            ["--snr-db", "nan", "--z-grid", "0:1:3"],
+            ["--snr-db=-inf", "--z-grid", "0:1:3"],
+            ["--snr-grid", "0:inf:3", "--pout", "0.05"],
+            ["--snr-grid=-inf:0:3", "--pout", "0.05"],
+        ]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for extra in cases:
+                code, out, err = _run(capsys, base + extra)
+                assert code == 2, extra
+                assert out == ""
+                assert err.strip().count("\n") == 0, extra
+            code, _, err = _run(capsys, ["reproduce", "--figure", "fig2", "--snr-db", "inf"])
+            assert code == 2
+            assert "--snr-db" in err
 
     def test_corrupt_model_cache(self, capsys, tmp_path):
         cache = tmp_path / "model.json"

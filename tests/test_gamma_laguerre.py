@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -18,6 +19,8 @@ from rayprod import (
     moment_set,
     sample_frobenius,
 )
+from rayprod import gamma_laguerre
+from rayprod.gamma_laguerre import _reg_lower_gamma
 
 
 @pytest.fixture(scope="module")
@@ -63,6 +66,54 @@ class TestFit:
     def test_degenerate_dims_warn(self):
         with pytest.warns(RuntimeWarning):
             fit(moment_set(ChannelConfig((1,) * 9), 6))
+
+
+def _shapes():
+    extra = [0.5, 1.0, 2.0, 9.5, 10.0, 10.5, 64.0]  # integers and the Stirling switch
+    return np.concatenate([np.geomspace(0.1, 200.0, 60), extra])
+
+
+def _points(a):
+    tiny = [0.0, 1e-300, 1e-100, 1e-20]
+    return np.concatenate([tiny, np.geomspace(1e-8, 3.0 * a + 50.0, 300)])
+
+
+class TestRegLowerGamma:
+    def test_against_scipy(self):
+        for a in _shapes():
+            u = _points(a)
+            ref = gammainc(a, u)
+            small = (ref > 0.0) & (ref < 0.5)
+            for got in (_reg_lower_gamma(a, u),
+                        np.array([_reg_lower_gamma(a, float(x)) for x in u])):
+                assert np.max(np.abs(got - ref)) <= 1e-14, a
+                rel = np.abs(got[small] - ref[small]) / ref[small]
+                assert np.all(rel <= 1e-12), (a, rel.max())
+
+    def test_scalar_and_array_paths_agree(self):
+        for a in _shapes():
+            u = _points(a)
+            arr = _reg_lower_gamma(a, u)
+            scalar = np.array([_reg_lower_gamma(a, float(x)) for x in u])
+            assert np.all(np.abs(arr - scalar) <= 4 * np.spacing(np.abs(scalar))), a
+
+    def test_edges(self):
+        for a in (0.1, 1.0, 7.5, 200.0):
+            assert _reg_lower_gamma(a, 0.0) == 0.0
+            for u in (1e300, sys.float_info.max, math.inf):
+                assert _reg_lower_gamma(a, u) == 1.0
+            edges = np.array([0.0, 1e300, math.inf])
+            assert _reg_lower_gamma(a, edges).tolist() == [0.0, 1.0, 1.0]
+            for u in (1e-3, 0.7 * a, a + 1.0, 2.0 * a + 3.0):
+                zero_d = _reg_lower_gamma(a, np.array(u))
+                assert zero_d.shape == ()
+                assert float(zero_d) == _reg_lower_gamma(a, u)
+
+    def test_exponential_and_integer_shape(self):
+        u = np.geomspace(1e-6, 60.0, 200)
+        assert np.allclose(_reg_lower_gamma(1.0, u), -np.expm1(-u), rtol=1e-14, atol=0.0)
+        # P(2, u) = 1 - (1 + u) exp(-u)
+        assert np.max(np.abs(_reg_lower_gamma(2.0, u) - (1.0 - (1.0 + u) * np.exp(-u)))) <= 1e-15
 
 
 class TestSingleFactorExactness:
@@ -116,6 +167,31 @@ class TestCdf:
         model = fit(moment_set(ChannelConfig((2, 3)), 6))
         with pytest.raises(ParameterError):
             cdf(model, -1.0)
+
+    def test_matches_gammainc_sum(self, monkeypatch):
+        # the raw series summed from q + 1 independent gammainc calls, as the
+        # model once computed it; the recursion from one call must agree
+        def gammainc_sum(alpha, beta, eps_basis, x):
+            u = np.asarray(x, dtype=float) / beta
+            out = gammainc(alpha, u)
+            for j, b in enumerate(eps_basis):
+                if b != 0.0:
+                    out = out + b * gammainc(alpha + j, u)
+            return out
+
+        for dims in [(2, 3), (2, 6, 8, 4), (2, 7, 8, 4), (4, 7, 8, 4), (8, 7, 8, 4), (4, 4),
+                     (4, 8, 4), (4, 8, 8, 4), (4, 8, 8, 8, 4), (2, 8, 8, 4)]:
+            for q in (2, 6):
+                model = fit(moment_set(ChannelConfig(dims), q))
+                grid = np.linspace(0.0, model.mean + 20.0 * model.std, 2001)
+                points = [float(x) for x in grid[::97]]
+                got = cdf(model, grid), [cdf(model, x) for x in points]
+                with monkeypatch.context() as patch:
+                    patch.setattr(gamma_laguerre, "_raw_cdf", gammainc_sum)
+                    ref = cdf(model, grid), [cdf(model, x) for x in points]
+                for a, b in zip(got[0], ref[0]):
+                    assert np.max(np.abs(a - b)) <= 1e-13, (dims, q)
+                assert np.max(np.abs(np.array(got[1]) - np.array(ref[1]))) <= 1e-13, (dims, q)
 
     def test_monte_carlo_sup_distance(self, samples_2884):
         xs = np.sort(samples_2884.values)

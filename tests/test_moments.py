@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -83,6 +84,29 @@ class TestCompositions:
     def test_lexicographic_order(self):
         comps = [tuple(row) for row in _compositions(4, 3).tolist()]
         assert comps == sorted(comps)
+
+    def test_matches_recursive_table(self):
+        # the memoized first-part recursion the table was once built with
+        @functools.lru_cache(maxsize=None)
+        def recursive(m, k):
+            if k == 1:
+                return np.array([[m]], dtype=np.int64)
+            blocks = []
+            for first in range(m + 1):
+                rest = recursive(m - first, k - 1)
+                block = np.empty((rest.shape[0], k), dtype=np.int64)
+                block[:, 0] = first
+                block[:, 1:] = rest
+                blocks.append(block)
+            return np.vstack(blocks)
+
+        for m in range(0, 13):
+            for k in range(1, 9):
+                if composition_count(m, k) > 20_000:
+                    continue
+                got = _compositions(m, k)
+                assert got.dtype == np.int64
+                assert np.array_equal(got, recursive(m, k)), (m, k)
 
 
 class TestExactMoment:

@@ -228,6 +228,14 @@ class TestRayleighLimit:
                              text=True, check=True, env={**os.environ, "PYTHONPATH": src})
         assert out.stdout.strip() == "False"
 
+    def test_cli_import_leaves_scipy_out(self):
+        code = ("import sys, rayprod.cli; "
+                "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+        src = os.path.dirname(os.path.dirname(rayprod.__file__))
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             text=True, check=True, env={**os.environ, "PYTHONPATH": src})
+        assert out.stdout.strip() == "[]"
+
     def test_domain(self):
         with pytest.raises(ParameterError):
             rayleigh_limit_distance(0, 4, 10, [1.0], 100, 0)
