@@ -222,10 +222,7 @@ def _capacity_header(args) -> tuple[str, float]:
 def _cmd_moments(args) -> int:
     config = _parse_dims(args.dims)
     q = args.q
-    try:
-        mgf_vals = mgf_moments(config, min(q, 8))
-    except ResourceError:
-        mgf_vals = None
+    mgf_vals = mgf_moments(config, min(q, 12))  # one expansion up to the order guard
     rows = []
     for m in range(1, q + 1):
         exact_val = None
@@ -234,7 +231,7 @@ def _cmd_moments(args) -> int:
         except ResourceError as exc:
             print(f"m={m}: {exc}", file=sys.stderr)
         closed = closed_form_moment(config, m) if m <= 3 else None
-        mgf_val = mgf_vals[m] if mgf_vals is not None and m < len(mgf_vals) else None
+        mgf_val = mgf_vals[m] if m < len(mgf_vals) else None
         rows.append(
             [m, exact_val, closed, mgf_val, leading_order_moment(config, m)]
         )

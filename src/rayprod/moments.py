@@ -6,19 +6,19 @@ suite:
 * :func:`exact_moment` enumerates all weak compositions ``a_1 + ... + a_K0
   = m`` of the partition-sum representation.  Every term carries a sign from
   the integer product ``prod_{i<j} ((a_j + j) - (a_i + i))`` and a magnitude
-  assembled from Gamma factors.  Small cases run in exact rational
-  arithmetic (the terms are ratios of factorials), large cases in the signed
-  log domain with exactly rounded summation.
+  that is a ratio of factorials; the sum runs in exact rational arithmetic,
+  up to 60,000 compositions.
 * :func:`closed_form_moment` evaluates the closed products known for
   ``m = 1, 2, 3``.
 * :func:`mgf_moments` expands the moment generating function, a determinant
-  of truncated power series, and reads the moments off its ``s**m``
-  coefficients.  The determinant is computed division-free by expansion over
-  row subsets.
+  of truncated power series with integer coefficients, and reads the
+  moments off its ``s**m`` coefficients.  The determinant is computed by
+  fraction-free elimination over the series, in exact integers.
 
+Both exact routes round each moment once, so they agree bit for bit.
 :func:`leading_order_moment` provides the dominant term ``prod_i (K_i)_m /
-m!``, exact in the limit of many clusters and the fallback wherever the
-partition sum is too expensive.
+m!``, exact in the limit of many clusters and the fallback past the order
+guard ``m <= 12``.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from fractions import Fraction
 import numpy as np
 
 from .channel import ChannelConfig
-from .errors import ParameterError, ResourceError
+from .errors import NumericError, ParameterError, ResourceError
 
 __all__ = [
     "MomentSet",
@@ -46,10 +46,7 @@ __all__ = [
 ]
 
 _MAX_ORDER = 12
-_MAX_COMPOSITIONS = 10**7
-_RATIONAL_TERM_CAP = 60_000  # below this the partition sum runs exactly
-_MGF_MAX_ORDER = 8
-_MGF_MAX_K0 = 8
+_RATIONAL_TERM_CAP = 60_000  # the partition sum's composition count limit
 
 
 @dataclass(frozen=True)
@@ -115,18 +112,22 @@ def _compositions(m: int, k: int) -> np.ndarray:
     return out
 
 
-def _guard(config: ChannelConfig, m: int) -> None:
+def _order_guard(route: str, m: int) -> None:
     if m > _MAX_ORDER:
         raise ResourceError(
-            f"exact_moment order guard (m <= {_MAX_ORDER}) exceeded for m={m}; "
+            f"{route} order guard (m <= {_MAX_ORDER}) exceeded for m={m}; "
             "use leading_order_moment instead"
         )
-    count = composition_count(m, config.k_min)
-    if count > _MAX_COMPOSITIONS:
-        raise ResourceError(
-            f"composition count {count} exceeds {_MAX_COMPOSITIONS} for "
-            f"dims {config.dims}, m={m}; use leading_order_moment instead"
-        )
+
+
+def _to_float(value: int | Fraction, config: ChannelConfig, m: int) -> float:
+    """An exact moment rounded once; :class:`NumericError` past the float range."""
+    try:
+        return float(value)
+    except OverflowError:
+        raise NumericError(
+            f"E[X^{m}] for dims {config.dims} exceeds the float range"
+        ) from None
 
 
 @functools.lru_cache(maxsize=None)
@@ -141,18 +142,15 @@ def _exact_moment_rational(cdims: tuple[int, ...], m: int) -> Fraction:
              for a in range(m + 1)] for j in range(1, k0 + 1)]
     denf = [[fact[a] * math.prod(fact[j + nu[i] - 1] for i in range(2, n + 1))
              for a in range(m + 1)] for j in range(1, k0 + 1)]
+    comps = _compositions(m, k0)
+    # The Vandermonde factor vanishes unless the shifted parts a_j + j are
+    # distinct; for K0 = 30, m = 4 that leaves 17 of 40,920 rows.
+    shifted = np.sort(comps + np.arange(1, k0 + 1), axis=1)
+    distinct = (shifted[:, 1:] != shifted[:, :-1]).all(axis=1)
     total = Fraction(0)
-    for comp in _compositions(m, k0).tolist():
+    for comp in comps[distinct].tolist():
         pos = [a + j for j, a in enumerate(comp, start=1)]
-        v = 1
-        for jj in range(1, k0):
-            for ii in range(jj):
-                v *= pos[jj] - pos[ii]
-            if v == 0:
-                break
-        if v == 0:
-            continue
-        num = v
+        num = math.prod(pos[jj] - pos[ii] for jj in range(1, k0) for ii in range(jj))
         den = 1
         for j in range(k0):
             num *= numf[j][comp[j]]
@@ -162,73 +160,26 @@ def _exact_moment_rational(cdims: tuple[int, ...], m: int) -> Fraction:
     return total * fact[m] / norm
 
 
-@functools.lru_cache(maxsize=None)
-def _exact_moment_float(cdims: tuple[int, ...], m: int) -> float:
-    """Partition sum in the signed log domain (canonical dims).
-
-    The Vandermonde factor is accumulated one column pair at a time, so
-    memory stays linear in the composition count for any ``K0``.
-    """
-    # Imported here: this route runs only above _RATIONAL_TERM_CAP
-    # compositions, and scipy costs more to import than the whole package.
-    from scipy.special import gammaln
-
-    k0 = cdims[0]
-    n = len(cdims) - 1
-    nu = np.array([k - k0 for k in cdims])
-    comps = _compositions(m, k0)
-    pos = np.ascontiguousarray((comps + np.arange(1, k0 + 1, dtype=np.int64)).T)
-
-    count = comps.shape[0]
-    zero = np.zeros(count, dtype=bool)
-    negatives = np.zeros(count, dtype=np.int64)
-    log_v = np.zeros(count)
-    for i, j in zip(*np.triu_indices(k0, k=1)):
-        diff = pos[j] - pos[i]
-        zero |= diff == 0
-        negatives += diff < 0
-        log_v += np.log(np.abs(np.where(diff == 0, 1, diff)))
-    sign = np.where(negatives % 2 == 0, 1.0, -1.0)
-
-    # G[j-1, a] = sum_i lnGamma(j+a+nu_i) - lnGamma(a+1) - sum_{i>=2} lnGamma(j+nu_i)
-    j_col = np.arange(1, k0 + 1)[:, None]
-    a_row = np.arange(m + 1)[None, :]
-    g = -gammaln(a_row + 1.0) * np.ones((k0, 1))
-    for i in range(1, n + 1):
-        g = g + gammaln(j_col + a_row + nu[i])
-    for i in range(2, n + 1):
-        g = g - gammaln(j_col + nu[i])
-
-    log_terms = log_v + g[np.arange(k0)[None, :], comps].sum(axis=1)
-    keep = ~zero
-    if not keep.any():
-        return 0.0
-    log_terms = log_terms[keep]
-    peak = log_terms.max()
-    # Exactly rounded signed sum of the scaled terms.
-    acc = math.fsum((sign[keep] * np.exp(log_terms - peak)).tolist())
-    log_norm = math.fsum(
-        float(gammaln(j) + gammaln(j + nu[1])) for j in range(1, k0 + 1)
-    )
-    return acc * math.exp(peak + float(gammaln(m + 1)) - log_norm)
-
-
 def exact_moment(config: ChannelConfig, m: int) -> float:
     """``E[X^m]`` by enumerating the partition sum over weak compositions.
 
-    Runs the exact rational path when the composition count is small enough,
-    the signed log-domain path otherwise.  Raises :class:`ResourceError`
-    above the ``m <= 12`` / composition-count guards and suggests
-    :func:`leading_order_moment`.
+    The sum runs in exact rational arithmetic and is rounded once.  Raises
+    :class:`ResourceError` above the ``m <= 12`` order guard (suggesting
+    :func:`leading_order_moment`) and above 60,000 compositions (suggesting
+    :func:`mgf_moments`, which is exact at any ``K_min``).
     """
     m = int(m)
     if m < 1:
         raise ParameterError(f"moment order must be >= 1, got {m}")
-    _guard(config, m)
-    cdims = config.canonical_dims
-    if composition_count(m, config.k_min) <= _RATIONAL_TERM_CAP:
-        return float(_exact_moment_rational(cdims, m))
-    return _exact_moment_float(cdims, m)
+    _order_guard("exact_moment", m)
+    count = composition_count(m, config.k_min)
+    if count > _RATIONAL_TERM_CAP:
+        raise ResourceError(
+            f"partition sum guard: {count} compositions exceed "
+            f"{_RATIONAL_TERM_CAP} for dims {config.dims}, m={m}; "
+            "use mgf_moments instead"
+        )
+    return _to_float(_exact_moment_rational(config.canonical_dims, m), config, m)
 
 
 def closed_form_moment(config: ChannelConfig, m: int) -> float:
@@ -251,137 +202,91 @@ def closed_form_moment(config: ChannelConfig, m: int) -> float:
     raise ParameterError(f"closed_form_moment covers m in {{1, 2, 3}}, got {m}")
 
 
-def _int_to_longdouble(value: int) -> np.longdouble:
-    """Arbitrary nonnegative int to extended precision (top 64 bits kept)."""
-    bits = value.bit_length()
-    if bits <= 63:
-        return np.longdouble(value)
-    shift = bits - 64
-    return np.longdouble(value >> shift) * np.longdouble(2.0) ** shift
+def _bareiss(rows: list[list[list[int]]], cap: int) -> list[int]:
+    """Determinant of a matrix of integer power series truncated after ``s**cap``.
 
+    Entries are coefficient lists of length ``cap + 1``; ``cap = 0`` is an
+    integer matrix.  Bareiss's fraction-free elimination replaces entry
+    (i, j) at step k by ``(a_ij a_kk - a_ik a_kj) / p``, with ``p`` the
+    previous pivot.  By Sylvester's identity the quotient is a minor of the
+    matrix, hence an integer series, and because ``p`` has a nonzero
+    constant term, series division recovers it exactly.
 
-def _mgf_entries(cdims: tuple[int, ...], cap: int) -> np.ndarray:
-    """Truncated-series matrix entries in extended precision.
-
-    Entry (i, j) has coefficients ``Gamma(i+j+nu_1+t-1) * prod_q (j+nu_q)_t
-    / t!`` for ``t = 0 .. cap``; numerators are exact integers, so the only
-    rounding is the final extended-precision quotient.  Matrix determinants
-    of these series cancel heavily, which is why double-precision entries
-    are not good enough here.
+    Only the integer case swaps in a row below a zero pivot (none left means
+    the determinant is 0).  A series matrix is not pivoted: its
+    constant-term matrix must have nonzero leading principal minors, as the
+    binomial matrix of :func:`_mgf_coefficients` has (they are all 1).
     """
-    k0 = cdims[0]
-    n = len(cdims) - 1
-    nu = [k - k0 for k in cdims]
-    fact = [math.factorial(t) for t in range(cap + 1)]
-    entries = np.empty((k0, k0, cap + 1), dtype=np.longdouble)
-    for i in range(1, k0 + 1):
-        for j in range(1, k0 + 1):
-            for t in range(cap + 1):
-                num = math.factorial(i + j + nu[1] + t - 2)
-                for q in range(2, n + 1):
-                    num *= math.prod(range(j + nu[q], j + nu[q] + t))
-                entries[i - 1, j - 1, t] = _int_to_longdouble(num) / np.longdouble(
-                    fact[t]
-                )
-    return entries
-
-
-def _series_det(entries: np.ndarray, cap: int) -> np.ndarray:
-    """Division-free determinant of a matrix of truncated power series.
-
-    ``entries`` has shape (k, k, cap+1).  Expands over row subsets (the
-    dynamic-programming form of the Leibniz expansion): ``f[S]`` is the
-    minor determinant using rows ``S`` and the first ``|S|`` columns.
-    """
-    k = entries.shape[0]
-    full = (1 << k) - 1
-    zero = np.zeros(cap + 1, dtype=entries.dtype)
-    f = [None] * (full + 1)
-    f[0] = zero.copy()
-    f[0][0] = 1.0
-    masks_by_size = [[] for _ in range(k + 1)]
-    for mask in range(1, full + 1):
-        masks_by_size[mask.bit_count()].append(mask)
-    for size in range(1, k + 1):
-        col = size - 1
-        for mask in masks_by_size[size]:
-            acc = zero.copy()
-            pos = 0
-            rest = mask
-            while rest:
-                row = (rest & -rest).bit_length() - 1
-                term = np.convolve(entries[row, col], f[mask ^ (1 << row)])[: cap + 1]
-                if (pos + size - 1) % 2 == 0:
-                    acc += term
-                else:
-                    acc -= term
-                rest &= rest - 1
-                pos += 1
-            f[mask] = acc
-    return f[full]
-
-
-@functools.lru_cache(maxsize=None)
-def _mgf_coefficients(cdims: tuple[int, ...], cap: int) -> np.ndarray:
-    """Series coefficients of the MGF determinant (extended precision)."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        coeffs = _series_det(_mgf_entries(cdims, cap), cap)
-    if not np.all(np.isfinite(coeffs)):
-        raise ResourceError(
-            f"mgf series overflow for canonical dims {cdims}; the partition "
-            "sum or leading_order_moment handle this range"
-        )
-    coeffs.setflags(write=False)
-    return coeffs
-
-
-def mgf_moments(config: ChannelConfig, max_m: int) -> list[float]:
-    """``E[X^m]`` for ``m = 0 .. max_m`` from one series-determinant expansion."""
-    max_m = int(max_m)
-    if max_m < 0:
-        raise ParameterError(f"max_m must be >= 0, got {max_m}")
-    k0 = config.k_min
-    if max_m > _MGF_MAX_ORDER or k0 > _MGF_MAX_K0:
-        raise ResourceError(
-            f"mgf series guard (m <= {_MGF_MAX_ORDER}, K0 <= {_MGF_MAX_K0}) "
-            f"exceeded for dims {config.dims}, m={max_m}"
-        )
-    cdims = config.canonical_dims
-    nu1 = cdims[1] - cdims[0]
-    coeffs = _mgf_coefficients(cdims, max_m)
-    norm = math.prod(
-        math.factorial(j - 1) * math.factorial(j + nu1 - 1)
-        for j in range(1, k0 + 1)
-    )
-    norm_ld = _int_to_longdouble(norm)
-    out = [
-        float(coeffs[m] * np.longdouble(math.factorial(m)) / norm_ld)
-        for m in range(max_m + 1)
-    ]
-    out[0] = 1.0  # MGF at s = 0, exact by definition
-    return out
+    n = len(rows)
+    sign = 1
+    prev = [1] + [0] * cap
+    for k in range(n - 1):
+        if cap == 0 and rows[k][k][0] == 0:
+            swap = next((r for r in range(k + 1, n) if rows[r][k][0]), None)
+            if swap is None:
+                return [0]
+            rows[k], rows[swap] = rows[swap], rows[k]
+            sign = -sign
+        pivot = rows[k][k]
+        for i in range(k + 1, n):
+            left = rows[i][k]
+            for j in range(k + 1, n):
+                top, a = rows[k][j], rows[i][j]
+                out = []
+                for t in range(cap + 1):
+                    c = sum(a[u] * pivot[t - u] - left[u] * top[t - u] for u in range(t + 1))
+                    c -= sum(prev[u] * out[t - u] for u in range(1, t + 1))
+                    out.append(c // prev[0])
+                rows[i][j] = out
+        prev = pivot
+    return [sign * c for c in rows[n - 1][n - 1]]
 
 
 def _det_bareiss(rows: list[list[int]]) -> int:
-    """Fraction-free pivoted elimination; exact for integer matrices."""
-    n = len(rows)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if rows[k][k] == 0:
-            for r in range(k + 1, n):
-                if rows[r][k] != 0:
-                    rows[k], rows[r] = rows[r], rows[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                rows[i][j] = (rows[i][j] * rows[k][k] - rows[i][k] * rows[k][j]) // prev
-            rows[i][k] = 0
-        prev = rows[k][k]
-    return sign * rows[n - 1][n - 1]
+    """Exact determinant of an integer matrix: :func:`_bareiss` at ``cap = 0``."""
+    return _bareiss([[[x] for x in row] for row in rows], 0)[0]
+
+
+@functools.lru_cache(maxsize=None)
+def _mgf_coefficients(cdims: tuple[int, ...], cap: int) -> tuple[int, ...]:
+    """``s**0 .. s**cap`` coefficients of the normalized MGF determinant.
+
+    Entry (i, j) of the MGF matrix has coefficients ``(i+j+nu_1+t-2)! / t!
+    * prod_{q>=2} (j+nu_q)_t``.  Row i is divided by ``(i-1)!`` and column
+    j by ``(j+nu_1-1)!``, which divides the determinant by its Gram
+    normalization ``prod_j Gamma(j) Gamma(j+nu_1)`` (see
+    :func:`gamma_det_identity`) and leaves the integer entries
+    ``C(i+j+nu_1+t-2, i-1) * C(j+nu_1+t-1, t) * prod_{q>=2} (j+nu_q)_t``.
+    Their constant terms form a binomial matrix whose leading principal
+    minors are all 1, so the determinant's constant term is 1.
+    """
+    k0 = cdims[0]
+    nu = [k - k0 for k in cdims]
+    rows = [[[math.comb(i + j + nu[1] + t - 2, i - 1)
+              * math.comb(j + nu[1] + t - 1, t)
+              * math.prod(math.prod(range(j + v, j + v + t)) for v in nu[2:])
+              for t in range(cap + 1)]
+             for j in range(1, k0 + 1)]
+            for i in range(1, k0 + 1)]
+    return tuple(_bareiss(rows, cap))
+
+
+def mgf_moments(config: ChannelConfig, max_m: int) -> list[float]:
+    """``E[X^m]`` for ``m = 0 .. max_m`` from one series-determinant expansion.
+
+    The moment generating function of ``X`` is a normalized ``K_min x
+    K_min`` determinant of power series, and ``E[X^m]`` is ``m!`` times its
+    ``s**m`` coefficient.  The determinant is taken in exact integers, so
+    each moment is an exact integer rounded once to a float and equals the
+    rational partition sum wherever both run.  The cost grows like
+    ``K_min**3 max_m**2``, with no composition count in it.
+    """
+    max_m = int(max_m)
+    if max_m < 0:
+        raise ParameterError(f"max_m must be >= 0, got {max_m}")
+    _order_guard("mgf_moments", max_m)
+    coeffs = _mgf_coefficients(config.canonical_dims, max_m)
+    return [_to_float(c * math.factorial(m), config, m) for m, c in enumerate(coeffs)]
 
 
 def gamma_det_identity(k0: int, nu1: int, m: int) -> tuple[float, float]:
@@ -435,18 +340,25 @@ def leading_order_moment(config: ChannelConfig, m: int) -> float:
 def moment_set(config: ChannelConfig, q: int) -> MomentSet:
     """Moments ``m = 1 .. q`` with per-entry provenance.
 
-    Each order uses the exact partition sum wherever its guards allow and
-    falls back to the leading-order term otherwise.
+    Each order ``m <= 12`` takes the exact partition sum where it has at most
+    60,000 compositions and otherwise the exact MGF series, computed once
+    for all such orders.  Orders past 12 take the leading-order term.
     """
     q = int(q)
     if q < 1:
         raise ParameterError(f"q must be >= 1, got {q}")
     values, methods = [], []
+    mgf = None
     for m in range(1, q + 1):
-        try:
-            values.append(exact_moment(config, m))
-            methods.append("exact_partition")
-        except ResourceError:
+        if m > _MAX_ORDER:
             values.append(leading_order_moment(config, m))
             methods.append("leading_order")
+        elif composition_count(m, config.k_min) <= _RATIONAL_TERM_CAP:
+            values.append(exact_moment(config, m))
+            methods.append("exact_partition")
+        else:
+            if mgf is None:
+                mgf = mgf_moments(config, min(q, _MAX_ORDER))
+            values.append(mgf[m])
+            methods.append("mgf_series")
     return MomentSet(config, tuple(values), tuple(methods))

@@ -10,6 +10,7 @@ only.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -28,10 +29,25 @@ __all__ = [
 
 
 def db_to_linear(x_db):
-    """``10 ** (x_db / 10)``; a scalar gives a float, an array-like an array."""
+    """``10 ** (x_db / 10)``; a scalar gives a float, an array-like an array.
+
+    Raises :class:`ParameterError` where the linear value is not finite
+    (above about 3083 dB).
+    """
     if np.ndim(x_db) == 0:
-        return 10.0 ** (float(x_db) / 10.0)
-    return 10.0 ** (np.asarray(x_db, dtype=float) / 10.0)
+        try:
+            linear = 10.0 ** (float(x_db) / 10.0)
+        except OverflowError:
+            linear = math.inf
+        finite = math.isfinite(linear)
+    else:
+        with np.errstate(over="ignore"):
+            linear = 10.0 ** (np.asarray(x_db, dtype=float) / 10.0)
+        finite = np.all(np.isfinite(linear))
+    if not finite:
+        # the largest input is the one that overflows (or NaN, if any is)
+        raise ParameterError(f"an SNR of {np.max(x_db):g} dB has no finite linear value")
+    return linear
 
 
 @dataclass(frozen=True)
@@ -109,7 +125,10 @@ def outage_probability(
     if np.any(z_arr < 0):
         raise ParameterError("rate z must be >= 0")
     r = float(scheme.rate)
-    return dist.cdf(denominator / gamma * np.expm1(z_arr / r))
+    # A rate too high for a finite threshold is certain outage: cdf(inf) = 1.
+    with np.errstate(over="ignore"):
+        threshold = denominator / gamma * np.expm1(z_arr / r)
+    return dist.cdf(threshold)
 
 
 def outage_capacity(

@@ -250,6 +250,21 @@ class TestErrorCodes:
             assert code == 2
             assert "--snr-db" in err
 
+    def test_snr_without_finite_linear_value(self, capsys):
+        cases = [
+            ["outage", "--dims", "2,4", "--snr-db", "4000", "--z-grid", "0:1:3"],
+            ["reproduce", "--figure", "fig2", "--snr-db", "4000"],
+            ["outage", "--dims", "2,4", "--snr-grid", "0:4000:3", "--pout", "0.05"],
+        ]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for argv in cases:
+                code, out, err = _run(capsys, argv)
+                assert code == 2, argv
+                assert out == ""
+                assert "4000 dB" in err
+                assert err.strip().count("\n") == 0, argv
+
     def test_corrupt_model_cache(self, capsys, tmp_path):
         cache = tmp_path / "model.json"
         truncated = '{"alpha": 1.0, '

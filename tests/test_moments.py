@@ -1,54 +1,30 @@
 import functools
 import itertools
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from scipy.special import gammaln
 
 from rayprod import (
     ChannelConfig,
     MomentSet,
+    NumericError,
     ParameterError,
     ResourceError,
     closed_form_moment,
     exact_moment,
+    fit,
     leading_order_moment,
     mgf_moments,
     moment_set,
 )
 from rayprod.moments import (
     _compositions,
-    _exact_moment_float,
     _exact_moment_rational,
     composition_count,
 )
-
-
-def _dense_partition_sum(cdims, m):
-    """Signed log-domain partition sum from the full pair-difference matrix."""
-    k0, nu = cdims[0], [k - cdims[0] for k in cdims]
-    comps = _compositions(m, k0)
-    pos = comps + np.arange(1, k0 + 1)
-    pairs_i, pairs_j = np.triu_indices(k0, k=1)
-    diffs = pos[:, pairs_j] - pos[:, pairs_i]
-    sign = np.where((diffs < 0).sum(axis=1) % 2 == 0, 1.0, -1.0)
-    log_v = np.log(np.abs(np.where(diffs == 0, 1, diffs))).sum(axis=1)
-    j_col, a_row = np.arange(1, k0 + 1)[:, None], np.arange(m + 1)[None, :]
-    g = -gammaln(a_row + 1.0) * np.ones((k0, 1))
-    for i in range(1, len(cdims)):
-        g = g + gammaln(j_col + a_row + nu[i])
-    for i in range(2, len(cdims)):
-        g = g - gammaln(j_col + nu[i])
-    log_terms = log_v + g[np.arange(k0)[None, :], comps].sum(axis=1)
-    keep = ~(diffs == 0).any(axis=1)
-    peak = log_terms[keep].max()
-    acc = math.fsum((sign[keep] * np.exp(log_terms[keep] - peak)).tolist())
-    log_norm = math.fsum(
-        float(gammaln(j) + gammaln(j + nu[1])) for j in range(1, k0 + 1)
-    )
-    return acc * math.exp(peak + float(gammaln(m + 1)) - log_norm)
 
 
 class TestChannelConfig:
@@ -138,23 +114,6 @@ class TestExactMoment:
                 got = [exact_moment(ChannelConfig(perm), m) for m in range(1, 5)]
                 np.testing.assert_allclose(got, base, rtol=1e-9)
 
-    def test_float_path_matches_rational(self):
-        for dims in [(2, 3), (2, 3, 4), (3, 4, 5), (2, 2, 2, 2)]:
-            c = ChannelConfig(dims)
-            for m in range(1, 6):
-                exact = _exact_moment_rational(c.canonical_dims, m)
-                fl = _exact_moment_float(c.canonical_dims, m)
-                assert fl == pytest.approx(float(exact), rel=1e-10)
-
-    def test_float_path_matches_dense_pair_matrix(self):
-        # the float path accumulates the Vandermonde factor one column pair at
-        # a time; the result is bit-identical to holding all pair differences
-        for dims in [(12, 12, 12), (20, 20), (5, 9, 3, 7), (1, 4, 6)]:
-            cdims = ChannelConfig(dims).canonical_dims
-            for m in range(1, 5):
-                got = _exact_moment_float.__wrapped__(cdims, m)
-                assert got.hex() == _dense_partition_sum(cdims, m).hex(), (dims, m)
-
     def test_guards(self):
         with pytest.raises(ResourceError):
             exact_moment(ChannelConfig((2, 3)), 13)
@@ -200,9 +159,33 @@ class TestMgfMoment:
 
     def test_guards(self):
         with pytest.raises(ResourceError):
-            mgf_moments(ChannelConfig((2, 3)), 9)
-        with pytest.raises(ResourceError):
-            mgf_moments(ChannelConfig((9, 9)), 2)
+            mgf_moments(ChannelConfig((2, 3)), 13)
+        c = ChannelConfig((9, 9))
+        assert mgf_moments(c, 2)[2] == exact_moment(c, 2)
+
+    def test_float_range(self):
+        # E[X^12] is about 1e324 for these dims; both exact routes say so
+        c = ChannelConfig((1,) + (1000,) * 9)
+        with pytest.raises(NumericError):
+            mgf_moments(c, 12)
+        with pytest.raises(NumericError):
+            exact_moment(c, 12)
+
+    def test_equals_partition_sum_over_acceptance_grid(self):
+        # both routes are exact and round once, so the floats are equal
+        for n in (1, 2, 3):
+            for dims in itertools.product(range(1, 9), repeat=n + 1):
+                c = ChannelConfig(dims)
+                batch = mgf_moments(c, 6)
+                for m in range(1, 7):
+                    assert batch[m] == exact_moment(c, m), (dims, m)
+
+    def test_equals_partition_sum_to_order_12(self):
+        for dims in [(4, 8, 8, 8, 4), (2, 2, 2, 2, 2, 2), (1, 1, 9, 1, 1)]:
+            c = ChannelConfig(dims)
+            batch = mgf_moments(c, 12)
+            for m in range(1, 13):
+                assert batch[m] == exact_moment(c, m), (dims, m)
 
 
 class TestLeadingOrderMoment:
@@ -242,6 +225,24 @@ class TestMomentSet:
         assert fallback.values[-1] == leading_order_moment(c, 13)
         with pytest.raises(ResourceError):
             exact_moment(c, 13)
+
+    def test_large_single_factor_is_exact_gamma(self):
+        # above the partition sum's cap the MGF route still gives (k^2)_m
+        for k in (17, 20, 30):
+            c = ChannelConfig((k, k))
+            ms = moment_set(c, 6)
+            assert ms.values == tuple(
+                float(math.prod(range(k * k, k * k + m))) for m in range(1, 7)
+            )
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                model = fit(ms)
+            assert all(w == 0.0 for w in model.weights_scaled[3:]), k
+
+    def test_mgf_fill_above_partition_cap(self):
+        ms = moment_set(ChannelConfig((30, 30)), 8)
+        assert ms.methods[4:] == ("mgf_series",) * 4
+        assert "leading_order" not in ms.methods
 
     def test_moments_increase_and_are_log_convex(self):
         rng = np.random.default_rng(12)

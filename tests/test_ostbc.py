@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -69,6 +70,18 @@ class TestOutageProbability:
         p_low = outage_probability(model, scheme, config, 1.0, 1.0)
         p_high = outage_probability(model, scheme, config, 4.0, 1.0)
         assert p_high <= p_low
+
+    def test_rate_past_finite_threshold_is_certain_outage(self):
+        # expm1 overflows to an infinite threshold, a CDF value of 1, silently
+        config = ChannelConfig((2, 4))
+        scheme = ostbc_catalog(2)
+        z = np.array([0.0, 500.0, 1000.0])
+        for dist in (_model(config.dims), Ecdf(sample_frobenius(config, 1000, 1).values)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                p = outage_probability(dist, scheme, config, 10.0, z)
+            assert p[0] == 0.0
+            assert np.array_equal(p[1:], [1.0, 1.0])
 
     def test_ecdf_curve(self):
         # the Monte-Carlo curve: the ECDF at the rate's channel-energy threshold
@@ -162,6 +175,15 @@ def test_db_helpers():
     assert type(db_to_linear(3)) is float
     np.testing.assert_allclose(10.0 * np.log10(db_to_linear([-3.0, 0.0, 7.3])),
                                [-3.0, 0.0, 7.3], rtol=1e-12, atol=1e-12)
+
+
+def test_db_without_finite_linear_value():
+    with pytest.raises(ParameterError):
+        db_to_linear(4000.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ParameterError):
+            db_to_linear([0.0, 4000.0])
 
 
 def test_mismatched_antennas():
