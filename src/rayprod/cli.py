@@ -27,8 +27,8 @@ import sys
 import numpy as np
 
 from .channel import ChannelConfig
-from .errors import FitError, NumericError, ParameterError, ResourceError
-from .gamma_laguerre import GammaLaguerreModel, cdf, fit
+from .errors import NumericError, ParameterError, ResourceError
+from .gamma_laguerre import cdf, fit
 from .moments import (
     closed_form_moment,
     exact_moment,
@@ -180,36 +180,6 @@ def _emit(header: list[str], rows: list[list], fmt: str, out: str | None) -> Non
             sys.stdout.write("\n")
 
 
-def _fit_model(config: ChannelConfig, q: int, cache_path: str | None = None):
-    if cache_path and os.path.exists(cache_path):
-        try:
-            with open(cache_path) as fh:
-                model = GammaLaguerreModel.from_json(fh.read())
-        except OSError as exc:
-            raise ParameterError(f"cannot read --model-cache {cache_path!r}: {exc.strerror}")
-        except (ValueError, KeyError, TypeError, FitError) as exc:
-            raise ParameterError(
-                f"--model-cache {cache_path!r} is not a model file "
-                f"({type(exc).__name__}: {exc})"
-            )
-        if model.source_moments.config.dims == config.dims and model.q == q:
-            return model
-    model = fit(moment_set(config, q))
-    if cache_path:
-        # Write a sibling temp file and rename it over the cache, so readers
-        # never see a half-written model.
-        tmp = f"{cache_path}.{os.getpid()}.tmp"
-        try:
-            with open(tmp, "w") as fh:
-                fh.write(model.to_json())
-            os.replace(tmp, cache_path)
-        except OSError as exc:
-            if os.path.exists(tmp):
-                os.remove(tmp)
-            raise ParameterError(f"cannot write --model-cache {cache_path!r}: {exc.strerror}")
-    return model
-
-
 def _capacity_header(args) -> tuple[str, float]:
     if getattr(args, "bits", False):
         return "bits_per_s_hz", _NATS_TO_BITS
@@ -220,8 +190,10 @@ def _capacity_header(args) -> tuple[str, float]:
 
 
 def _cmd_moments(args) -> int:
-    config = _parse_dims(args.dims)
     q = args.q
+    if q < 1:
+        raise ParameterError(f"--q must be >= 1, got {q}")
+    config = _parse_dims(args.dims)
     mgf_vals = mgf_moments(config, min(q, 12))  # one expansion up to the order guard
     rows = []
     for m in range(1, q + 1):
@@ -248,7 +220,7 @@ def _cmd_cdf(args) -> int:
     if args.grid_points < 2:
         raise ParameterError(f"--grid-points must be >= 2, got {args.grid_points}")
     config = _parse_dims(args.dims)
-    model = _fit_model(config, args.q, args.model_cache)
+    model = fit(moment_set(config, args.q))
     hi = model.mean + 10.0 * model.std
     grid = np.linspace(0.0, hi, args.grid_points)
     raw, reg = cdf(model, grid)
@@ -267,7 +239,7 @@ def _cmd_cdf(args) -> int:
 def _cmd_outage(args) -> int:
     config = _parse_dims(args.dims)
     scheme = _parse_scheme(args, config)
-    model = _fit_model(config, args.q, args.model_cache)
+    model = fit(moment_set(config, args.q))
     unit, factor = _capacity_header(args)
     if args.z_grid is not None:
         if args.snr_db is None:
@@ -334,7 +306,7 @@ def _cmd_reproduce(args) -> int:
         for k1, k2 in _FIG2_FAMILIES:
             config = ChannelConfig((2, k1, k2, 4))
             for q in (2, 6):
-                model = _fit_model(config, q)
+                model = fit(moment_set(config, q))
                 p = outage_probability(model, scheme, config, gamma, z)
                 rows += [[f"{config};model;q={q}", zi * factor, pi]
                          for zi, pi in zip(z, p)]
@@ -343,7 +315,7 @@ def _cmd_reproduce(args) -> int:
             p = outage_probability(ecdf, scheme, config, gamma, z)
             rows += [[f"{config};mc", zi * factor, pi] for zi, pi in zip(z, p)]
         reference = ChannelConfig((2, 4))
-        model = _fit_model(reference, 2)
+        model = fit(moment_set(reference, 2))
         p = outage_probability(model, scheme, reference, gamma, z)
         rows += [[f"{reference};rayleigh", zi * factor, pi] for zi, pi in zip(z, p)]
         header = ["curve_id", f"capacity_{unit}", "outage_probability"]
@@ -353,7 +325,7 @@ def _cmd_reproduce(args) -> int:
         scheme = ostbc_catalog(4)
         for clusters in _FIG3_CLUSTERS:
             config = ChannelConfig((4, *([8] * clusters), 4))
-            model = _fit_model(config, 6)
+            model = fit(moment_set(config, 6))
             ecdf = Ecdf.from_samples(sample_frobenius(config, args.samples, seed + mc_index))
             mc_index += 1
             for snr_db in (0.0, 5.0):
@@ -377,8 +349,8 @@ def _cmd_reproduce(args) -> int:
             ecdf = Ecdf.from_samples(sample_frobenius(config, args.samples, seed + mc_index))
             mc_index += 1
             for curve_config, dist, label in (
-                (config, _fit_model(config, 6), "model"),
-                (reference, _fit_model(reference, 6), "rayleigh"),
+                (config, fit(moment_set(config, 6)), "model"),
+                (reference, fit(moment_set(reference, 6)), "rayleigh"),
                 (config, ecdf, "mc"),
             ):
                 c = outage_capacity(dist, scheme, curve_config, gamma, p_out)
@@ -417,7 +389,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--simulate", action="store_true", help="overlay a seeded ECDF")
     p.add_argument("--samples", type=int, default=10**6)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--model-cache", help="JSON model cache path")
     p.set_defaults(func=_cmd_cdf)
 
     p = sub.add_parser("outage", help="outage probability or outage capacity curve")
@@ -430,7 +401,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--rate", help="explicit code rate S/T (default: catalog)")
     p.add_argument("--bits", action="store_true",
                    help="report capacity in bits/s/Hz instead of nats/s/Hz")
-    p.add_argument("--model-cache", help="JSON model cache path")
     p.set_defaults(func=_cmd_outage)
 
     p = sub.add_parser("simulate", help="seeded draws of X plus summary statistics")

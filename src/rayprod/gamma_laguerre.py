@@ -24,7 +24,6 @@ at ``x`` and the raw values at the roots below ``x``.
 
 from __future__ import annotations
 
-import json
 import math
 import sys
 import warnings
@@ -32,7 +31,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelConfig
 from .errors import FitError, NumericError, ParameterError
 from .moments import MomentSet
 
@@ -56,8 +54,8 @@ class GammaLaguerreModel:
     """Fitted CDF model; immutable and safe to share across threads.
 
     ``weights`` are the textbook correction weights ``w_0 .. w_q`` (kept for
-    diagnostics and serialization).  ``weights_scaled[i] = (alpha)_i * Gamma
-    (alpha) * w_i`` are the well-conditioned quantities the evaluator uses.
+    diagnostics).  ``weights_scaled[i] = (alpha)_i * Gamma(alpha) * w_i``
+    are the well-conditioned quantities the evaluator uses.
     """
 
     alpha: float
@@ -85,37 +83,6 @@ class GammaLaguerreModel:
     def quantile(self, p: float) -> float:
         """Quantile of the regularized CDF; see :func:`cdf_inverse`."""
         return cdf_inverse(self, p)
-
-    def to_json(self) -> str:
-        """Serialize the fit and its source moments; see :meth:`from_json`."""
-        return json.dumps(
-            {
-                "alpha": self.alpha,
-                "beta": self.beta,
-                "q": self.q,
-                "dims": list(self.source_moments.config.dims),
-                "weights": list(self.weights),
-                "weights_scaled": list(self.weights_scaled),
-                "moment_values": list(self.source_moments.values),
-                "moment_methods": list(self.source_moments.methods),
-            }
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "GammaLaguerreModel":
-        """Refit from the stored moments.
-
-        The stored ``alpha``, ``beta``, ``q`` and weights are informational:
-        the model is always what :func:`fit` makes of the moments.
-        """
-        d = json.loads(text)
-        return fit(
-            MomentSet(
-                ChannelConfig(tuple(d["dims"])),
-                tuple(d["moment_values"]),
-                tuple(d["moment_methods"]),
-            )
-        )
 
 
 def _stirling_remainder(a: float) -> float:

@@ -3,6 +3,11 @@
 Three independent routes are implemented and cross-checked in the test
 suite:
 
+* :func:`mgf_moments` expands the moment generating function, a determinant
+  of truncated power series with integer coefficients, and reads the
+  moments off its ``s**m`` coefficients.  The determinant is computed by
+  fraction-free elimination over the series, in exact integers.  It is the
+  route :func:`moment_set`, and so every fitted model, takes.
 * :func:`exact_moment` enumerates all weak compositions ``a_1 + ... + a_K0
   = m`` of the partition-sum representation.  Every term carries a sign from
   the integer product ``prod_{i<j} ((a_j + j) - (a_i + i))`` and a magnitude
@@ -10,10 +15,6 @@ suite:
   up to 60,000 compositions.
 * :func:`closed_form_moment` evaluates the closed products known for
   ``m = 1, 2, 3``.
-* :func:`mgf_moments` expands the moment generating function, a determinant
-  of truncated power series with integer coefficients, and reads the
-  moments off its ``s**m`` coefficients.  The determinant is computed by
-  fraction-free elimination over the series, in exact integers.
 
 Both exact routes round each moment once, so they agree bit for bit.
 :func:`leading_order_moment` provides the dominant term ``prod_i (K_i)_m /
@@ -53,9 +54,9 @@ _RATIONAL_TERM_CAP = 60_000  # the partition sum's composition count limit
 class MomentSet:
     """Moments ``E[X^1] .. E[X^q]`` with per-entry method provenance.
 
-    ``methods[i]`` is one of ``"exact_partition"``, ``"closed_form"``,
-    ``"mgf_series"``, ``"leading_order"`` and records how ``values[i]`` was
-    obtained.
+    ``methods[i]`` records how ``values[i]`` was obtained: ``"mgf_series"``
+    (exact, orders ``m <= 12``) or ``"leading_order"`` (past the order
+    guard).
     """
 
     config: ChannelConfig
@@ -136,11 +137,11 @@ def _exact_moment_rational(cdims: tuple[int, ...], m: int) -> Fraction:
     k0 = cdims[0]
     n = len(cdims) - 1
     nu = [k - k0 for k in cdims]
-    fact = [math.factorial(i) for i in range(k0 + m + max(nu) + 1)]
+    fact = functools.cache(math.factorial)  # only the factorials near each nu_i
     # Per-(column, part) factor tables: numerator and denominator integers.
-    numf = [[math.prod(fact[j + a + nu[i] - 1] for i in range(1, n + 1))
+    numf = [[math.prod(fact(j + a + nu[i] - 1) for i in range(1, n + 1))
              for a in range(m + 1)] for j in range(1, k0 + 1)]
-    denf = [[fact[a] * math.prod(fact[j + nu[i] - 1] for i in range(2, n + 1))
+    denf = [[fact(a) * math.prod(fact(j + nu[i] - 1) for i in range(2, n + 1))
              for a in range(m + 1)] for j in range(1, k0 + 1)]
     comps = _compositions(m, k0)
     # The Vandermonde factor vanishes unless the shifted parts a_j + j are
@@ -156,8 +157,8 @@ def _exact_moment_rational(cdims: tuple[int, ...], m: int) -> Fraction:
             num *= numf[j][comp[j]]
             den *= denf[j][comp[j]]
         total += Fraction(num, den)
-    norm = math.prod(fact[j - 1] * fact[j + nu[1] - 1] for j in range(1, k0 + 1))
-    return total * fact[m] / norm
+    norm = math.prod(fact(j - 1) * fact(j + nu[1] - 1) for j in range(1, k0 + 1))
+    return total * fact(m) / norm
 
 
 def exact_moment(config: ChannelConfig, m: int) -> float:
@@ -340,25 +341,15 @@ def leading_order_moment(config: ChannelConfig, m: int) -> float:
 def moment_set(config: ChannelConfig, q: int) -> MomentSet:
     """Moments ``m = 1 .. q`` with per-entry provenance.
 
-    Each order ``m <= 12`` takes the exact partition sum where it has at most
-    60,000 compositions and otherwise the exact MGF series, computed once
-    for all such orders.  Orders past 12 take the leading-order term.
+    Orders ``m <= 12`` come from one exact :func:`mgf_moments` expansion
+    (``"mgf_series"``); orders past 12 take :func:`leading_order_moment`
+    (``"leading_order"``).  The partition sum and the closed forms are the
+    independent cross-checks of the MGF route and are not used here.
     """
     q = int(q)
     if q < 1:
         raise ParameterError(f"q must be >= 1, got {q}")
-    values, methods = [], []
-    mgf = None
-    for m in range(1, q + 1):
-        if m > _MAX_ORDER:
-            values.append(leading_order_moment(config, m))
-            methods.append("leading_order")
-        elif composition_count(m, config.k_min) <= _RATIONAL_TERM_CAP:
-            values.append(exact_moment(config, m))
-            methods.append("exact_partition")
-        else:
-            if mgf is None:
-                mgf = mgf_moments(config, min(q, _MAX_ORDER))
-            values.append(mgf[m])
-            methods.append("mgf_series")
-    return MomentSet(config, tuple(values), tuple(methods))
+    exact = mgf_moments(config, min(q, _MAX_ORDER))[1:]
+    tail = [leading_order_moment(config, m) for m in range(_MAX_ORDER + 1, q + 1)]
+    methods = ("mgf_series",) * len(exact) + ("leading_order",) * len(tail)
+    return MomentSet(config, tuple(exact + tail), methods)

@@ -67,18 +67,6 @@ class TestCdf:
         ecdfs = [float(r[3]) for r in rows]
         assert max(abs(a - b) for a, b in zip(regs, ecdfs)) < 0.05
 
-    def test_model_cache(self, capsys, tmp_path):
-        cache = tmp_path / "model.json"
-        code, first, _ = _run(capsys, ["cdf", "--dims", "2,3", "--q", "4",
-                                       "--model-cache", str(cache)])
-        assert code == 0
-        assert cache.exists()
-        code, second, _ = _run(capsys, ["cdf", "--dims", "2,3", "--q", "4",
-                                        "--model-cache", str(cache)])
-        assert code == 0
-        assert first == second
-        assert [p.name for p in tmp_path.iterdir()] == ["model.json"]  # no temp left
-
 
 class TestOutage:
     def test_rate_curve(self, capsys):
@@ -219,6 +207,14 @@ class TestErrorCodes:
         code, _, _ = _run(capsys, ["moments", "--dims", "2,3", "--bogus"])
         assert code == 2
 
+    def test_moments_q_below_one(self, capsys):
+        for q in ("0", "-1"):
+            code, out, err = _run(capsys, ["moments", "--dims", "2,3", "--q", q])
+            assert code == 2
+            assert out == ""
+            assert "--q" in err
+            assert err.strip().count("\n") == 0
+
     def test_grid_points_below_two(self, capsys):
         for points in ("-1", "0", "1"):
             code, _, err = _run(capsys, ["cdf", "--dims", "2,3", "--grid-points", points])
@@ -264,22 +260,6 @@ class TestErrorCodes:
                 assert out == ""
                 assert "4000 dB" in err
                 assert err.strip().count("\n") == 0, argv
-
-    def test_corrupt_model_cache(self, capsys, tmp_path):
-        cache = tmp_path / "model.json"
-        truncated = '{"alpha": 1.0, '
-        # moments whose variance is not positive: the reload fit fails
-        degenerate = ('{"alpha": 1.0, "beta": 1.0, "q": 2, "dims": [2, 3], '
-                      '"weights": [1.0, 0.0, 0.0], "weights_scaled": [1.0, 0.0, 0.0], '
-                      '"moment_values": [6.0, 30.0], '
-                      '"moment_methods": ["exact_partition", "exact_partition"]}')
-        for text in (truncated, degenerate):
-            cache.write_text(text)
-            code, _, err = _run(capsys, ["cdf", "--dims", "2,3", "--q", "2",
-                                         "--model-cache", str(cache)])
-            assert code == 2
-            assert "--model-cache" in err
-            assert err.strip().count("\n") == 0
 
     def test_unwritable_out(self, capsys, tmp_path):
         out = tmp_path / "missing" / "moments.csv"

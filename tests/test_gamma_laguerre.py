@@ -1,4 +1,3 @@
-import json
 import math
 import sys
 
@@ -10,7 +9,6 @@ from conftest import sup_distance
 from rayprod import (
     ChannelConfig,
     FitError,
-    GammaLaguerreModel,
     MomentSet,
     ParameterError,
     cdf,
@@ -95,7 +93,7 @@ class TestRegLowerGamma:
             u = _points(a)
             arr = _reg_lower_gamma(a, u)
             scalar = np.array([_reg_lower_gamma(a, float(x)) for x in u])
-            assert np.all(np.abs(arr - scalar) <= 4 * np.spacing(np.abs(scalar))), a
+            assert np.array_equal(arr, scalar), a
 
     def test_edges(self):
         for a in (0.1, 1.0, 7.5, 200.0):
@@ -266,49 +264,3 @@ class TestDistributionMethods:
         assert model.cdf(model.mean) == cdf(model, model.mean)[1]
         for p in (0.01, 0.05, 0.5):
             assert model.quantile(p) == cdf_inverse(model, p)
-
-
-class TestSerialization:
-    def test_json_round_trip(self):
-        model = fit(moment_set(ChannelConfig((2, 6, 8, 4)), 6))
-        text = model.to_json()
-        clone = GammaLaguerreModel.from_json(text)
-        assert clone.alpha == model.alpha
-        assert clone.beta == model.beta
-        assert clone.weights == model.weights
-        assert clone.weights_scaled == model.weights_scaled
-        assert clone.source_moments.config.dims == (2, 6, 8, 4)
-        assert clone == model
-        grid = np.linspace(0.0, model.mean + 10.0 * model.std, 257)
-        raw_a, reg_a = cdf(model, grid)
-        raw_b, reg_b = cdf(clone, grid)
-        assert np.array_equal(raw_a, raw_b)
-        assert np.array_equal(reg_a, reg_b)
-
-    def test_load_refits_edited_cache(self):
-        # a cache file as written before loading refit from the moments, with
-        # its alpha and weights edited: the load ignores them
-        payload = json.loads(
-            '{"alpha": 2.6666666666666665, "beta": 9.0, "q": 4, "dims": [2, 3, 4], '
-            '"weights": [0.6646393004594835, 0.0, 1.9080995023925688e-16, '
-            '-0.02589503768023935, -0.009985668125059374], "weights_scaled": '
-            '[1.0, 0.0, 2.807082412879408e-15, -1.7777777777777586, '
-            '-3.8847736625513036], "moment_values": [24.0, 792.0, 34560.0, '
-            '1935360.0], "moment_methods": ["exact_partition", "exact_partition", '
-            '"exact_partition", "exact_partition"]}'
-        )
-        reference = fit(moment_set(ChannelConfig((2, 3, 4)), 4))
-        assert GammaLaguerreModel.from_json(json.dumps(payload)) == reference
-        payload["alpha"] = 3.5
-        payload["weights"] = [1.0, 2.0, 3.0, 4.0, 5.0]
-        payload["weights_scaled"] = [0.0] * 5
-        assert GammaLaguerreModel.from_json(json.dumps(payload)) == reference
-
-    def test_schema_fields(self):
-        model = fit(moment_set(ChannelConfig((2, 3)), 4))
-        payload = json.loads(model.to_json())
-        for key in ("alpha", "beta", "q", "dims", "weights"):
-            assert key in payload
-        assert payload["dims"] == [2, 3]
-        assert payload["q"] == 4
-        assert len(payload["weights"]) == 5

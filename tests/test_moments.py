@@ -114,6 +114,13 @@ class TestExactMoment:
                 got = [exact_moment(ChannelConfig(perm), m) for m in range(1, 5)]
                 np.testing.assert_allclose(got, base, rtol=1e-9)
 
+    def test_large_dim_matches_other_routes(self):
+        # only the factorials near each dim are built, so a dim of 5000 is cheap
+        c = ChannelConfig((1, 5000))
+        mgf = mgf_moments(c, 3)
+        for m in range(1, 4):
+            assert exact_moment(c, m) == closed_form_moment(c, m) == mgf[m]
+
     def test_guards(self):
         with pytest.raises(ResourceError):
             exact_moment(ChannelConfig((2, 3)), 13)
@@ -211,7 +218,7 @@ class TestMomentSet:
     def test_exact_fill(self):
         ms = moment_set(ChannelConfig((2, 3)), 3)
         assert ms.values == (6.0, 42.0, 336.0)
-        assert all(m == "exact_partition" for m in ms.methods)
+        assert ms.methods == ("mgf_series",) * 3
 
     def test_single_moment(self):
         ms = moment_set(ChannelConfig((4, 4)), 1)
@@ -221,7 +228,7 @@ class TestMomentSet:
         # orders past the exact guards (m <= 12) fall back to the leading term
         c = ChannelConfig((2, 3))
         fallback = moment_set(c, 13)
-        assert fallback.methods == ("exact_partition",) * 12 + ("leading_order",)
+        assert fallback.methods == ("mgf_series",) * 12 + ("leading_order",)
         assert fallback.values[-1] == leading_order_moment(c, 13)
         with pytest.raises(ResourceError):
             exact_moment(c, 13)
@@ -240,9 +247,25 @@ class TestMomentSet:
             assert all(w == 0.0 for w in model.weights_scaled[3:]), k
 
     def test_mgf_fill_above_partition_cap(self):
-        ms = moment_set(ChannelConfig((30, 30)), 8)
-        assert ms.methods[4:] == ("mgf_series",) * 4
-        assert "leading_order" not in ms.methods
+        c = ChannelConfig((30, 30))
+        ms = moment_set(c, 8)
+        assert ms.methods == ("mgf_series",) * 8
+        assert ms.values == tuple(mgf_moments(c, 8)[1:])
+
+    def test_reads_only_the_mgf_route(self, monkeypatch):
+        import rayprod.moments as moments
+
+        c = ChannelConfig((2, 7, 8, 4))
+        closed = tuple(closed_form_moment(c, m) for m in range(1, 4))
+
+        def refuse(*args):
+            raise AssertionError("moment_set left the MGF route")
+
+        for name in ("exact_moment", "_exact_moment_rational", "composition_count",
+                     "closed_form_moment"):
+            monkeypatch.setattr(moments, name, refuse)
+        ms = moment_set(c, 6)
+        assert ms.values[:3] == closed
 
     def test_moments_increase_and_are_log_convex(self):
         rng = np.random.default_rng(12)
