@@ -343,8 +343,9 @@ def moment_set(config: ChannelConfig, q: int) -> MomentSet:
 
     Orders ``m <= 12`` come from one exact :func:`mgf_moments` expansion
     (``"mgf_series"``); orders past 12 take :func:`leading_order_moment`
-    (``"leading_order"``).  The partition sum and the closed forms are the
-    independent cross-checks of the MGF route and are not used here.
+    (``"leading_order"``), which :func:`~rayprod.gamma_laguerre.fit`
+    refuses.  The partition sum and the closed forms are the independent
+    cross-checks of the MGF route and are not used here.
     """
     q = int(q)
     if q < 1:

@@ -33,6 +33,15 @@ sqrt(-2 log(1 - u1))``.
 Because stream positions depend only on the sample index, any partition of
 the index range generates bit-identical values, independent of batch or
 worker layout.
+
+Batches
+-------
+The sampler walks the index range in cache-sized batches of about
+``_TARGET_WORDS_PER_BATCH`` uniform doubles (2 MB) and reuses one uniform
+buffer and one batch-minor buffer of that size for every batch.  Its working
+memory therefore does not depend on the draw count (only the output of 8
+bytes per draw does), and by the contract above the output does not depend
+on the batch size.
 """
 
 from __future__ import annotations
@@ -56,7 +65,7 @@ __all__ = [
     "load_samples",
 ]
 
-_TARGET_WORDS_PER_BATCH = 4_000_000
+_TARGET_WORDS_PER_BATCH = 2**18
 _HEADER = struct.Struct("<8sIQQ4x")  # magic, version, count, seed; 32 bytes
 _MAGIC = b"RPSAMPLE"
 _VERSION = 2
@@ -126,19 +135,28 @@ def _philox(seed: int, tag: int) -> np.random.Philox:
     return np.random.Philox(key=((seed & (2**64 - 1)) << 16) | tag)
 
 
+def _padded(doubles: int) -> int:
+    """Per-sample stream length ``D4``: ``doubles`` rounded up to whole Philox blocks."""
+    return (doubles + 3) // 4 * 4
+
+
 def _uniform_rows(
-    seed: int, start: int, count: int, doubles: int, tag: int = 0
+    seed: int, start: int, count: int, doubles: int, tag: int = 0, out=None
 ) -> np.ndarray:
     """Uniform doubles for samples ``start .. start+count-1``, ``doubles`` each.
 
     Sample ``i`` reads stream positions ``[i * D4, i * D4 + doubles)`` with
-    ``D4`` the double count rounded up to whole Philox blocks.
+    ``D4`` the double count rounded up to whole Philox blocks.  The rows are
+    a view of ``out`` (a flat buffer of at least ``count * D4`` doubles)
+    when it is given.
     """
-    d4 = ((doubles + 3) // 4) * 4
+    d4 = _padded(doubles)
     bitgen = _philox(seed, tag)
     if start:
         bitgen.advance(start * (d4 // 4))
-    return np.random.Generator(bitgen).random(count * d4).reshape(count, d4)[:, :doubles]
+    buf = np.empty(count * d4) if out is None else out[: count * d4]
+    np.random.Generator(bitgen).random(out=buf)
+    return buf.reshape(count, d4)[:, :doubles]
 
 
 def _normal_rows(
@@ -197,22 +215,29 @@ def _frobenius_values(
     pairs = k * (k - 1) // 2  # strict upper entries per factor
     doubles = gamma_doubles + 2 * n * pairs
     out = np.empty(stop - start)
-    batch = max(1, _TARGET_WORDS_PER_BATCH // doubles)
+    batch = max(1, min(_TARGET_WORDS_PER_BATCH // doubles, stop - start))
+    rows_buf = np.empty(batch * _padded(doubles))
+    u_buf = np.empty(batch * doubles)
+    starts = [0] + ends[:-1]
     for s in range(start, stop, batch):
         b = min(batch, stop - s)
-        rows = _uniform_rows(seed, s, b, doubles)
-        # batch-minor copy, one contiguous row per stream position; blocked,
-        # because a one-shot transpose of the whole batch thrashes the cache
-        u = np.empty((doubles, b))
-        for j in range(0, b, 1024):
-            u[:, j : j + 1024] = rows[j : j + 1024].T
-        logs = np.log(1.0 - u[:gamma_doubles])
+        rows = _uniform_rows(seed, s, b, doubles, out=rows_buf)
+        # batch-minor copy, one contiguous row per stream position; a prefix
+        # of the buffer, so a short last batch keeps every ufunc operand
+        # contiguous (numpy may pick another SIMD loop for strided ones)
+        u = u_buf[: doubles * b].reshape(doubles, b)
+        u[...] = rows.T
+        logs = u[:gamma_doubles]
+        np.subtract(1.0, logs, out=logs)
+        np.log(logs, out=logs)
         # row by row in a fixed order: numpy's reductions sum pairwise along
         # a single row, so a batch of one sample would round differently
-        sums = [sum(logs[lo + 1 : hi], logs[lo]) for lo, hi in zip([0] + ends, ends)]
+        for lo, hi in zip(starts, ends):
+            for r in range(lo + 1, hi):
+                np.add(logs[lo], logs[r], out=logs[lo])
         # sqrt(2) times the Bartlett factors: chi_{2(m-j)} diagonals and
         # standard normal parts, so X = ||T_n ... T_1||_F**2 / 2**n exactly
-        diag = np.sqrt(-2.0 * np.array(sums)).reshape(n, k, b)
+        diag = np.sqrt(-2.0 * logs[starts]).reshape(n, k, b)
         pair_rows = u[gamma_doubles:]
         upper = np.empty((n * pairs, b), dtype=complex)
         upper.real, upper.imag = _box_muller(pair_rows[0::2], pair_rows[1::2])

@@ -215,6 +215,22 @@ class TestErrorCodes:
             assert "--q" in err
             assert err.strip().count("\n") == 0
 
+    def test_q_past_exact_moments(self, capsys):
+        commands = [["cdf", "--grid-points", "3"],
+                    ["outage", "--snr-db", "10", "--z-grid", "0:1:3"]]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for command, *extra in commands:
+                for q in ("13", "14"):
+                    code, out, err = _run(capsys, [command, "--dims", "2,4", "--q", q, *extra])
+                    assert code == 2, (command, q)
+                    assert out == ""
+                    assert "up to order 12" in err
+                    assert err.strip().count("\n") == 0
+        # the moment table still lists the leading-order column past 12
+        code, _, _ = _run(capsys, ["moments", "--dims", "2,4", "--q", "13"])
+        assert code == 0
+
     def test_grid_points_below_two(self, capsys):
         for points in ("-1", "0", "1"):
             code, _, err = _run(capsys, ["cdf", "--dims", "2,3", "--grid-points", points])

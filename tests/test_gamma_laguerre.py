@@ -61,6 +61,15 @@ class TestFit:
         with pytest.raises(ParameterError):
             fit(moment_set(ChannelConfig((2, 3)), 1))
 
+    def test_refuses_leading_order_moments(self):
+        # (2, 4) is exactly Gamma(8); its leading-order E[X^13] is ~10x too
+        # small, and a fit on it gave a raw CDF above 1
+        c = ChannelConfig((2, 4))
+        assert fit(moment_set(c, 12)).q == 12
+        for q in (13, 14):
+            with pytest.raises(ParameterError, match="up to order 12"):
+                fit(moment_set(c, q))
+
     def test_degenerate_dims_warn(self):
         with pytest.warns(RuntimeWarning):
             fit(moment_set(ChannelConfig((1,) * 9), 6))

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -97,6 +98,28 @@ class TestSampleFrobenius:
             parts = [_frobenius_values(config, a, b, 3)
                      for a, b in [(0, 1), (1, 6), (6, 23), (23, 40)]]
             assert np.array_equal(np.concatenate(parts), whole)
+
+    @pytest.mark.parametrize("dims", [(2, 30, 40, 4), (4, 8, 8, 8, 4)])
+    def test_batches_match_one_batch(self, dims, monkeypatch):
+        # 5000 draws span several batches; the old 4e6-word batch held them all
+        config = ChannelConfig(dims)
+        batched = _frobenius_values(config, 0, 5000, 3)
+        monkeypatch.setattr(montecarlo, "_TARGET_WORDS_PER_BATCH", 4_000_000)
+        assert np.array_equal(batched, _frobenius_values(config, 0, 5000, 3))
+
+    def test_memory_independent_of_draw_count(self):
+        config = ChannelConfig((2, 30, 40, 4))
+        _frobenius_values(config, 0, 10, 0)  # numpy's one-time set-up is not per draw
+        peaks = []
+        for count in (10**4, 10**5):
+            tracemalloc.start()
+            try:
+                _frobenius_values(config, 0, count, 0)
+                peaks.append(tracemalloc.get_traced_memory()[1] - 8 * count)
+            finally:
+                tracemalloc.stop()
+        assert abs(peaks[1] - peaks[0]) <= 2**20
+        assert max(peaks) < 24 * 2**20
 
     def test_box_muller_matches_trig(self):
         u1 = np.array([0.0, 0.3, 0.999, 0.5, 0.5, 0.5, 0.5, 0.7, 1.0 - 2.0**-53])
