@@ -253,8 +253,6 @@ def _cmd_outage(args) -> int:
     if args.pout is not None:
         if args.snr_grid is None:
             raise ParameterError("--pout needs --snr-grid")
-        if not 0.0 < args.pout < 1.0:
-            raise ParameterError(f"--pout must be in (0, 1), got {args.pout}")
         snr_db = _parse_grid(args.snr_grid)
         c = outage_capacity(model, scheme, config, db_to_linear(snr_db), args.pout)
         rows = [[s, ci * factor] for s, ci in zip(snr_db, c)]
@@ -397,7 +395,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--snr-db", type=_finite_float, help="transmit SNR in dB (with --z-grid)")
     p.add_argument("--snr-grid", help="SNR grid start:stop:count in dB (with --pout)")
     p.add_argument("--z-grid", help="rate grid start:stop:count in nats/s/Hz")
-    p.add_argument("--pout", type=float, help="target outage probability in (0,1)")
+    p.add_argument("--pout", type=float, help="target outage probability in (1e-14, 1)")
     p.add_argument("--rate", help="explicit code rate S/T (default: catalog)")
     p.add_argument("--bits", action="store_true",
                    help="report capacity in bits/s/Hz instead of nats/s/Hz")

@@ -1,12 +1,14 @@
 """Moment-matched Gamma base plus Laguerre-type correction for the CDF of X.
 
 The approximation is ``F(x) ~= P(alpha, x/beta) + eps(x)`` with ``P`` the
-regularized lower incomplete Gamma function (evaluated here, see
-:func:`_reg_lower_gamma`), ``(alpha, beta)`` matched to the
-first two moments, and ``eps`` a finite correction series driven by moments
-three and up.  Matching forces the first- and second-order correction
-weights to vanish; for a single-factor channel (n = 1) every correction
-weight vanishes and the model is the exact distribution of X.
+regularized lower incomplete Gamma function (evaluated here a point at a
+time by one plain-Python loop, :func:`_reg_lower_gamma`, which keeps
+numpy's ``exp`` and ``log`` so that outputs keep their bytes), ``(alpha,
+beta)`` matched to the first two moments, and ``eps`` a finite correction
+series driven by moments three and up.  Matching forces the first- and
+second-order correction weights to vanish; for a single-factor channel
+(n = 1) every correction weight vanishes and the model is the exact
+distribution of X.
 
 Numerically the weights are assembled from the ratios ``mu_l = E[X^l] /
 ((alpha)_l beta^l)`` of the channel moments to the Gamma moments, so the
@@ -14,8 +16,8 @@ enormous cancellations of the textbook weight formula never materialize:
 each weight is an alternating binomial sum of ``mu_l - 1`` terms.
 
 The truncated correction series need not be monotone or stay inside
-``[0, 1]``.  The regularized CDF therefore applies a clamp and a running
-maximum.  The running maximum is exact: the derivative of the raw CDF is
+``[0, 1]``.  The regularized CDF therefore applies a running maximum and a
+clamp.  The running maximum is exact: the derivative of the raw CDF is
 ``u**(alpha-1) * exp(-u)`` times a polynomial of degree q in ``u = x/beta``,
 so every interior local maximum sits at a positive real root of that
 polynomial, and the supremum over ``[0, x]`` is the larger of the raw value
@@ -27,6 +29,7 @@ from __future__ import annotations
 import math
 import sys
 import warnings
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,7 +41,9 @@ __all__ = ["GammaLaguerreModel", "fit", "cdf", "cdf_inverse"]
 
 _WEIGHT_WARN_MAGNITUDE = 1e6
 _INVERSE_TOL_P = 1e-10
+_INVERSE_TOL_REL = 1e-6
 _MAX_BRACKET_DOUBLINGS = 60
+_CDF_FLOOR = 1e-14  # regularized values at or below snap to 0: no quantile there
 
 _EPS = sys.float_info.epsilon
 _TINY = 1e-300  # Lentz guard against a zero denominator
@@ -93,67 +98,41 @@ def _stirling_remainder(a: float) -> float:
     return acc / a
 
 
-def _log_prefactor(a: float, u: float) -> float:
-    """``log(u**a * exp(-u) / Gamma(a))`` for ``a > 0`` and finite ``u > 0``.
+def _prefactor(a: float, u: float) -> float:
+    """``u**a * exp(-u) / Gamma(a)`` for ``a > 0``, zero unless ``0 < u < inf``.
 
-    Near the peak of a large shape, ``a log u - u - lgamma(a)`` cancels
-    terms of size ``a log a``; there the Stirling form keeps only the small
-    difference ``a (log1p(x) - x)`` with ``x = (u - a) / a``.  The logs are
-    numpy's, as in :func:`_log_prefactor_array`: :mod:`math` rounds some
-    differently, and ``exp`` of a log-prefactor of size 200 turns that one
-    ulp into a hundred in ``P``.
+    Near the peak of a large shape, the log ``a log u - u - lgamma(a)``
+    cancels terms of size ``a log a``; there the Stirling form keeps only the
+    small difference ``a (log1p(x) - x)`` with ``x = (u - a) / a``.  The
+    ``exp`` and logs are numpy's, which every output was computed with:
+    :mod:`math` rounds some differently, and ``exp`` of a log of size 200
+    turns that one ulp into a hundred in ``P``.
     """
+    if not 0.0 < u < math.inf:
+        return 0.0
     x = (u - a) / a
     if a >= _STIRLING_MIN_A and abs(x) <= 0.5:
-        return (a * (float(np.log1p(x)) - x) + 0.5 * math.log(a) - _HALF_LOG_2PI
-                - _stirling_remainder(a))
-    return a * float(np.log(u)) - u - math.lgamma(a)
-
-
-def _log_prefactor_array(a: float, u: np.ndarray) -> np.ndarray:
-    """:func:`_log_prefactor` over an array of finite ``u > 0``."""
-    out = a * np.log(u) - u - math.lgamma(a)
-    if a >= _STIRLING_MIN_A:
-        x = (u - a) / a
-        near = np.abs(x) <= 0.5
-        xn = x[near]
-        out[near] = (a * (np.log1p(xn) - xn) + 0.5 * math.log(a) - _HALF_LOG_2PI
+        log_scale = (a * (float(np.log1p(x)) - x) + 0.5 * math.log(a) - _HALF_LOG_2PI
                      - _stirling_remainder(a))
-    return out
+    else:
+        log_scale = a * float(np.log(u)) - u - math.lgamma(a)
+    return float(np.exp(log_scale))
 
 
-def _prefactor(a: float, u):
-    """``u**a * exp(-u) / Gamma(a)``, zero unless ``0 < u < inf``.
-
-    A float for a float ``u``, else an array.
-    """
-    if isinstance(u, float):
-        return float(np.exp(_log_prefactor(a, u))) if 0.0 < u < math.inf else 0.0
-    out = np.zeros(u.shape)
-    mid = (u > 0.0) & (u < np.inf)
-    out[mid] = np.exp(_log_prefactor_array(a, u[mid]))
-    return out
-
-
-def _reg_lower_gamma(a: float, u, scale=None):
+def _reg_lower_gamma(a: float, u: float, scale: float | None = None) -> float:
     """Regularized lower incomplete Gamma ``P(a, u)``, ``a > 0``, ``u >= 0``.
 
     For ``u < a + 1`` the series ``P = u^a e^-u / Gamma(a + 1) * sum_n u^n /
     ((a + 1) ... (a + n))`` adds positive terms; otherwise ``Q = 1 - P``
     comes from its continued fraction by the modified Lentz method.  Both
     stop once a step changes the result by less than one unit in the last
-    place.  A float ``u`` runs a plain Python loop, an array a masked numpy
-    loop; both do the same arithmetic with the same ``exp``/``log``, so they
-    agree bit for bit.  ``scale`` is :func:`_prefactor` at ``(a, u)``, for a
-    caller that already has it.
+    place.  This one plain-Python loop serves grids and the quantile alike;
+    the prefactor keeps numpy's ``exp`` and ``log`` (see :func:`_prefactor`)
+    so that outputs keep their bytes.  ``scale`` is :func:`_prefactor` at
+    ``(a, u)``, for a caller that already has it.
     """
-    if isinstance(u, float):
-        return _reg_lower_gamma_scalar(a, u, _prefactor(a, u) if scale is None else scale)
-    u = np.asarray(u, dtype=float)
-    return _reg_lower_gamma_array(a, u, _prefactor(a, u) if scale is None else scale)
-
-
-def _reg_lower_gamma_scalar(a: float, u: float, scale: float) -> float:
+    if scale is None:
+        scale = _prefactor(a, u)
     if u == 0.0:
         return 0.0
     if u == math.inf:
@@ -190,60 +169,17 @@ def _reg_lower_gamma_scalar(a: float, u: float, scale: float) -> float:
     return 1.0 - scale * h
 
 
-def _reg_lower_gamma_array(a: float, u: np.ndarray, scale: np.ndarray) -> np.ndarray:
-    # Each loop runs the scalar iteration on every point at once; a point
-    # that has met its stop is frozen (no term added, no factor applied).
-    out = np.full(u.shape, np.nan)
-    out[u == 0.0] = 0.0
-    out[u == np.inf] = 1.0
-
-    series = (u > 0.0) & (u < a + 1.0)
-    v = u[series]
-    ap = a
-    term = np.full(v.shape, 1.0 / a)
-    total = term.copy()
-    while term.any():
-        ap += 1.0
-        term *= v / ap
-        total += term
-        term[~(term > total * _EPS)] = 0.0
-    out[series] = total * scale[series]
-
-    fraction = (u >= a + 1.0) & (u < np.inf)
-    b = u[fraction] + 1.0 - a
-    c = np.full(b.shape, 1.0 / _TINY)
-    d = 1.0 / b
-    h = d.copy()
-    live = np.ones(b.shape, dtype=bool)
-    i = 0
-    while live.any():
-        i += 1
-        an = -i * (i - a)
-        b += 2.0
-        d = an * d + b
-        d[np.abs(d) < _TINY] = _TINY
-        c = b + an / c
-        c[np.abs(c) < _TINY] = _TINY
-        d = 1.0 / d
-        delta = np.where(live, d * c, 1.0)
-        h *= delta
-        live &= np.abs(delta - 1.0) > _EPS
-    out[fraction] = 1.0 - scale[fraction] * h
-    return out
-
-
-def _raw_cdf(alpha: float, beta: float, eps_basis, x):
-    """The truncated series at ``x``: a float for a float, else an array."""
+def _raw_cdf(alpha: float, beta: float, eps_basis, x: float) -> float:
+    """The truncated series at ``x``."""
     # The clamp keeps u = inf (P = 1, zero prefactor) out of 0 * inf below.
-    if isinstance(x, float):
-        u = min(x / beta, sys.float_info.max)
-    else:
-        u = np.minimum(np.asarray(x, dtype=float) / beta, sys.float_info.max)
+    u = min(x / beta, sys.float_info.max)
     # P(alpha + j, u) for j = top .. 0 from one incomplete-Gamma evaluation,
     # recurring down with P(a, u) = P(a + 1, u) + u^a e^-u / Gamma(a + 1):
     # every added term is positive, so no tail is left to cancellation.  The
     # prefactor climbs from a = alpha alongside the terms.
-    top = max((j for j, b in enumerate(eps_basis) if b != 0.0), default=0)
+    top = len(eps_basis) - 1
+    while top and eps_basis[top] == 0.0:
+        top -= 1
     scale = _prefactor(alpha, u)
     terms = []
     for j in range(top):
@@ -273,17 +209,9 @@ def _derivative_poly(alpha: float, eps_basis) -> np.ndarray:
 
 
 def _positive_real_roots(coeffs: np.ndarray) -> list[float]:
-    c = np.array(coeffs, dtype=float)
-    while c.size > 1 and c[-1] == 0.0:
-        c = c[:-1]
-    if c.size <= 1:
-        return []
-    roots = np.roots(c[::-1])
-    out = []
-    for r in roots:
-        if abs(r.imag) <= 1e-8 * (1.0 + abs(r.real)) and r.real > 0.0:
-            out.append(float(r.real))
-    return sorted(out)
+    # np.roots drops zero leading coefficients itself (none left: no roots)
+    return sorted(float(r.real) for r in np.roots(coeffs[::-1])
+                  if abs(r.imag) <= 1e-8 * (1.0 + abs(r.real)) and r.real > 0.0)
 
 
 def fit(moments: MomentSet) -> GammaLaguerreModel:
@@ -364,46 +292,55 @@ def fit(moments: MomentSet) -> GammaLaguerreModel:
         source_moments=moments,
         eps_basis=eps_basis,
         peak_x=peak_x,
-        peak_cdf=tuple(float(_raw_cdf(alpha, beta, eps_basis, xp)) for xp in peak_x),
+        peak_cdf=tuple(_raw_cdf(alpha, beta, eps_basis, xp) for xp in peak_x),
     )
 
 
+def _cdf_point(model: GammaLaguerreModel, x: float) -> tuple[float, float]:
+    """Raw and regularized CDF at one point; see :func:`cdf`."""
+    if x < 0:
+        raise ParameterError("cdf requires x >= 0")
+    raw = _raw_cdf(model.alpha, model.beta, model.eps_basis, x)
+    # The running maximum: raw(x) or the raw value at a peak below x.
+    reg = max((raw, *model.peak_cdf[:bisect_right(model.peak_x, x)]))
+    # Snap the saturated boundaries, which clamps to [0, 1]: within these
+    # bands the series value is cancellation round-off (the correction terms
+    # are orders of magnitude less accurate), so the wiggle has no meaning
+    # and snapping keeps the regularized values monotone on the plateaus.
+    if reg >= 1.0 - 1e-10:
+        reg = 1.0
+    elif reg <= _CDF_FLOOR:
+        reg = 0.0
+    return raw, reg
+
+
 def cdf(model: GammaLaguerreModel, x):
-    """Raw and regularized CDF values at ``x`` (scalar or array).
+    """Raw and regularized CDF values at ``x``.
 
     ``raw`` is the truncated series as-is; ``regularized`` clamps it to
     ``[0, 1]`` and applies the exact running maximum, so it is nondecreasing
-    and invertible.
+    and invertible.  A scalar ``x`` gives two floats, an array two arrays of
+    its shape.
     """
+    if isinstance(x, float) or np.ndim(x) == 0:
+        return _cdf_point(model, float(x))
     arr = np.asarray(x, dtype=float)
-    if np.any(arr < 0):
-        raise ParameterError("cdf requires x >= 0")
-    raw = _raw_cdf(model.alpha, model.beta, model.eps_basis,
-                   float(arr) if arr.ndim == 0 else arr)
-    if model.peak_x:
-        px = np.asarray(model.peak_x)
-        prefix = np.maximum.accumulate(np.asarray(model.peak_cdf))
-        idx = np.searchsorted(px, arr, side="right")
-        best = np.where(idx > 0, prefix[np.maximum(idx - 1, 0)], -np.inf)
-        reg = np.maximum(raw, best)
-    else:
-        reg = raw
-    reg = np.clip(reg, 0.0, 1.0)
-    # Snap the saturated boundaries: within these bands the series value is
-    # dominated by cancellation round-off (the correction terms are orders of
-    # magnitude less accurate than this), so the wiggle has no meaning and
-    # snapping keeps the regularized values monotone across the plateaus.
-    reg = np.where(reg >= 1.0 - 1e-10, 1.0, reg)
-    reg = np.where(reg <= 1e-14, 0.0, reg)
-    if np.isscalar(x) or arr.ndim == 0:
-        return float(raw), float(reg)
+    points = [_cdf_point(model, v) for v in arr.ravel().tolist()]
+    raw = np.array([r for r, _ in points]).reshape(arr.shape)
+    reg = np.array([g for _, g in points]).reshape(arr.shape)
     return raw, reg
 
 
 def cdf_inverse(model: GammaLaguerreModel, p: float) -> float:
-    """Quantile of the regularized CDF, bisected to ``1e-10`` in probability."""
-    if not 0.0 < p < 1.0:
-        raise ParameterError(f"cdf_inverse requires 0 < p < 1, got {p}")
+    """Quantile of the regularized CDF at ``1e-14 < p < 1``, by bisection.
+
+    Stops once ``|F(x) - p| <= min(1e-10, 1e-6 p)`` or the bracket is one
+    part in ``1e15`` wide; a quantile below the smallest double raises
+    :class:`NumericError`.
+    """
+    if not _CDF_FLOOR < p < 1.0:
+        raise ParameterError(f"the model quantile needs {_CDF_FLOOR:g} < p < 1, got {p}")
+    tol = min(_INVERSE_TOL_P, _INVERSE_TOL_REL * p)
     hi = model.mean + 10.0 * model.std
     for _ in range(_MAX_BRACKET_DOUBLINGS):
         if cdf(model, hi)[1] > p:
@@ -414,10 +351,13 @@ def cdf_inverse(model: GammaLaguerreModel, p: float) -> float:
             f"could not bracket p={p} after {_MAX_BRACKET_DOUBLINGS} doublings"
         )
     lo = 0.0
-    for _ in range(200):
+    while True:
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            raise NumericError(f"cannot resolve the quantile at p={p}: the bracket "
+                               f"[{lo:g}, {hi:g}] cannot shrink")
         val = cdf(model, mid)[1]
-        if abs(val - p) <= _INVERSE_TOL_P:
+        if abs(val - p) <= tol:
             return mid
         if val < p:
             lo = mid
@@ -426,5 +366,4 @@ def cdf_inverse(model: GammaLaguerreModel, p: float) -> float:
         # Relative stop: quantiles of configs with several dims of 1 can lie
         # far below 1e-15, where an absolute bracket width would stop early.
         if hi - lo <= 1e-15 * hi:
-            break
-    return 0.5 * (lo + hi)
+            return 0.5 * (lo + hi)

@@ -116,6 +116,19 @@ class TestOutage:
         assert code == 0
         assert len(_rows(out)[1]) == 2
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_pout_range(self, capsys):
+        base = ["outage", "--snr-grid", "0:10:3", "--pout"]
+        for dims, pout, status in [("2,4", "1e-15", 2), ("2,4", "0", 2), ("2,4", "1", 2),
+                                   ("1,1,1,1,1,1,1,1,1", "0.01", 4)]:
+            code, out, err = _run(capsys, base + [pout, "--dims", dims])
+            assert code == status, (dims, pout)
+            assert out == ""
+            assert err.strip().count("\n") == 0, (dims, pout)
+        code, out, _ = _run(capsys, base + ["1e-12", "--dims", "2,4"])
+        assert code == 0
+        assert len(_rows(out)[1]) == 3
+
     def test_needs_a_target(self, capsys):
         code, _, err = _run(capsys, ["outage", "--dims", "2,3", "--q", "2"])
         assert code == 2

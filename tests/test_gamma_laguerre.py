@@ -3,13 +3,14 @@ import sys
 
 import numpy as np
 import pytest
-from scipy.special import gammainc
+from scipy.special import gammainc, gammaincinv
 
 from conftest import sup_distance
 from rayprod import (
     ChannelConfig,
     FitError,
     MomentSet,
+    NumericError,
     ParameterError,
     cdf,
     cdf_inverse,
@@ -85,42 +86,37 @@ def _points(a):
     return np.concatenate([tiny, np.geomspace(1e-8, 3.0 * a + 50.0, 300)])
 
 
+def _reg_lower_gamma_on(a, u):
+    return np.array([_reg_lower_gamma(float(a), x) for x in np.asarray(u, dtype=float).tolist()])
+
+
 class TestRegLowerGamma:
     def test_against_scipy(self):
         for a in _shapes():
             u = _points(a)
             ref = gammainc(a, u)
             small = (ref > 0.0) & (ref < 0.5)
-            for got in (_reg_lower_gamma(a, u),
-                        np.array([_reg_lower_gamma(a, float(x)) for x in u])):
-                assert np.max(np.abs(got - ref)) <= 1e-14, a
-                rel = np.abs(got[small] - ref[small]) / ref[small]
-                assert np.all(rel <= 1e-12), (a, rel.max())
-
-    def test_scalar_and_array_paths_agree(self):
-        for a in _shapes():
-            u = _points(a)
-            arr = _reg_lower_gamma(a, u)
-            scalar = np.array([_reg_lower_gamma(a, float(x)) for x in u])
-            assert np.array_equal(arr, scalar), a
+            got = _reg_lower_gamma_on(a, u)
+            assert np.max(np.abs(got - ref)) <= 1e-14, a
+            rel = np.abs(got[small] - ref[small]) / ref[small]
+            assert np.all(rel <= 1e-12), (a, rel.max())
 
     def test_edges(self):
         for a in (0.1, 1.0, 7.5, 200.0):
             assert _reg_lower_gamma(a, 0.0) == 0.0
             for u in (1e300, sys.float_info.max, math.inf):
                 assert _reg_lower_gamma(a, u) == 1.0
-            edges = np.array([0.0, 1e300, math.inf])
-            assert _reg_lower_gamma(a, edges).tolist() == [0.0, 1.0, 1.0]
+            # both sides of the series / continued-fraction switch at a + 1
             for u in (1e-3, 0.7 * a, a + 1.0, 2.0 * a + 3.0):
-                zero_d = _reg_lower_gamma(a, np.array(u))
-                assert zero_d.shape == ()
-                assert float(zero_d) == _reg_lower_gamma(a, u)
+                got = _reg_lower_gamma(a, u)
+                assert type(got) is float
+                assert got == pytest.approx(float(gammainc(a, u)), rel=1e-12, abs=1e-14)
 
     def test_exponential_and_integer_shape(self):
         u = np.geomspace(1e-6, 60.0, 200)
-        assert np.allclose(_reg_lower_gamma(1.0, u), -np.expm1(-u), rtol=1e-14, atol=0.0)
+        assert np.allclose(_reg_lower_gamma_on(1.0, u), -np.expm1(-u), rtol=1e-14, atol=0.0)
         # P(2, u) = 1 - (1 + u) exp(-u)
-        assert np.max(np.abs(_reg_lower_gamma(2.0, u) - (1.0 - (1.0 + u) * np.exp(-u)))) <= 1e-15
+        assert np.max(np.abs(_reg_lower_gamma_on(2.0, u) - (1.0 - (1.0 + u) * np.exp(-u)))) <= 1e-15
 
 
 class TestSingleFactorExactness:
@@ -174,6 +170,27 @@ class TestCdf:
         model = fit(moment_set(ChannelConfig((2, 3)), 6))
         with pytest.raises(ParameterError):
             cdf(model, -1.0)
+        with pytest.raises(ParameterError):
+            cdf(model, np.array([1.0, -1.0]))
+
+    def test_containers(self):
+        # (2,2,2,2,2) has interior peaks, so the running maximum is exercised
+        model = fit(moment_set(ChannelConfig((2, 2, 2, 2, 2)), 6))
+        grid = np.linspace(0.0, model.mean + 20.0 * model.std, 60).reshape(3, 20)
+        points = [cdf(model, x) for x in grid.ravel().tolist()]
+        raw, reg = cdf(model, grid)
+        assert raw.shape == reg.shape == (3, 20)
+        assert raw.ravel().tolist() == [r for r, _ in points]
+        assert reg.ravel().tolist() == [g for _, g in points]
+        assert np.any(reg.ravel() != raw.ravel())
+        x = float(grid[1, 7])
+        for scalar in (x, np.float64(x), np.array(x)):
+            got = cdf(model, scalar)
+            assert [type(v) for v in got] == [float, float]
+            assert got == points[27]
+        for empty in (np.array([]), []):
+            raw, reg = cdf(model, empty)
+            assert raw.shape == reg.shape == (0,)
 
     def test_matches_gammainc_sum(self, monkeypatch):
         # the raw series summed from q + 1 independent gammainc calls, as the
@@ -250,19 +267,40 @@ class TestCdfInverse:
 
     def test_domain(self):
         model = fit(moment_set(ChannelConfig((2, 3)), 6))
-        for p in (0.0, 1.0, -0.2, 1.5):
+        # the regularized CDF snaps to 0 at or below 1e-14: no quantile there
+        for p in (0.0, 1.0, -0.2, 1.5, 1e-15, 1e-14, math.nan):
             with pytest.raises(ParameterError):
                 cdf_inverse(model, p)
+
+    @pytest.mark.parametrize("dims", [(2, 4), (4, 8)])
+    def test_small_p_against_exact_gamma(self, dims):
+        # a single factor is exactly Gamma(K0 K1, 1); an absolute 1e-10 stop
+        # in p accepted almost any point of the tail for p <= 1e-10
+        model = fit(moment_set(ChannelConfig(dims), 6))
+        for p in (1e-6, 1e-9, 1e-12):
+            ref = gammaincinv(float(dims[0] * dims[1]), p)
+            assert cdf_inverse(model, p) == pytest.approx(ref, rel=1e-6), (dims, p)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_quantile_below_smallest_double_raises(self):
+        # the regularized CDF steps from 0 to 1 between two adjacent
+        # subnormal x (where u = x / beta stops underflowing to 0), so no
+        # double meets p = 0.01; 200 halvings used to end in a midpoint
+        model = fit(moment_set(ChannelConfig((1,) * 9), 6))
+        with pytest.raises(NumericError, match="cannot shrink"):
+            cdf_inverse(model, 0.01)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("dims", [(1, 1, 1, 1, 7), (1, 1, 9, 1, 1), (1, 6, 2, 1, 1)])
     def test_tiny_quantiles_meet_tolerance(self, dims):
         # several dims of 1 put the lower quantiles far below 1e-15, where a
-        # bracket-width stop in absolute terms ended the bisection early
+        # bracket-width stop in absolute terms ended the bisection early; the
+        # 1e-9 quantile of (1,1,9,1,1) lies about 600 halvings down, past
+        # the 200 the bisection once allowed
         model = fit(moment_set(ChannelConfig(dims), 6))
-        for p in (1e-3, 0.01, 0.05, 0.5):
+        for p in (1e-9, 1e-3, 0.01, 0.05, 0.5):
             x = cdf_inverse(model, p)
-            assert abs(cdf(model, x)[1] - p) <= 1e-10, (dims, p, x)
+            assert abs(cdf(model, x)[1] - p) <= min(1e-10, 1e-6 * p), (dims, p, x)
 
 
 class TestDistributionMethods:
