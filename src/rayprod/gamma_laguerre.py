@@ -2,10 +2,12 @@
 
 The approximation is ``F(x) ~= P(alpha, x/beta) + eps(x)`` with ``P`` the
 regularized lower incomplete Gamma function (evaluated here a point at a
-time by one plain-Python loop, :func:`_reg_lower_gamma`, which keeps
-numpy's ``exp`` and ``log`` so that outputs keep their bytes), ``(alpha,
-beta)`` matched to the first two moments, and ``eps`` a finite correction
-series driven by moments three and up.  Matching forces the first- and
+time by one plain-Python loop, :func:`_reg_lower_gamma`), ``(alpha, beta)``
+matched to the first two moments, and ``eps`` a finite correction series
+driven by moments three and up.  :func:`fit` folds the whole series into
+one incomplete Gamma at the top shape plus a polynomial (see
+:func:`_raw_cdf`), so a CDF point costs one prefactor, one Horner pass and
+one incomplete-Gamma loop.  Matching forces the first- and
 second-order correction weights to vanish; for a single-factor channel
 (n = 1) every correction weight vanishes and the model is the exact
 distribution of X.
@@ -30,7 +32,8 @@ import math
 import sys
 import warnings
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from itertools import accumulate
 
 import numpy as np
 
@@ -46,6 +49,7 @@ _MAX_BRACKET_DOUBLINGS = 60
 _CDF_FLOOR = 1e-14  # regularized values at or below snap to 0: no quantile there
 
 _EPS = sys.float_info.epsilon
+_MAX = sys.float_info.max
 _TINY = 1e-300  # Lentz guard against a zero denominator
 _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 # Stirling series lgamma(a) - ((a - 1/2) log a - a + log(2 pi)/2) =
@@ -60,7 +64,10 @@ class GammaLaguerreModel:
 
     ``weights`` are the textbook correction weights ``w_0 .. w_q`` (kept for
     diagnostics).  ``weights_scaled[i] = (alpha)_i * Gamma(alpha) * w_i``
-    are the well-conditioned quantities the evaluator uses.
+    are the well-conditioned quantities the basis weights come from.
+    ``top``, ``total``, ``horner`` and ``poch_top`` are the folded series
+    :func:`_raw_cdf` evaluates, and ``peak_max[i]`` the largest raw value at
+    the interior peaks ``peak_x[:i + 1]``.
     """
 
     alpha: float
@@ -70,8 +77,12 @@ class GammaLaguerreModel:
     weights_scaled: tuple[float, ...]
     source_moments: MomentSet
     eps_basis: tuple[float, ...]
-    peak_x: tuple[float, ...]
-    peak_cdf: tuple[float, ...]
+    top: int
+    total: float
+    horner: tuple[float, ...]
+    poch_top: float
+    peak_x: tuple[float, ...] = ()
+    peak_max: tuple[float, ...] = ()
 
     @property
     def mean(self) -> float:
@@ -104,9 +115,9 @@ def _prefactor(a: float, u: float) -> float:
     Near the peak of a large shape, the log ``a log u - u - lgamma(a)``
     cancels terms of size ``a log a``; there the Stirling form keeps only the
     small difference ``a (log1p(x) - x)`` with ``x = (u - a) / a``.  The
-    ``exp`` and logs are numpy's, which every output was computed with:
-    :mod:`math` rounds some differently, and ``exp`` of a log of size 200
-    turns that one ulp into a hundred in ``P``.
+    ``exp`` and logs are numpy's: :mod:`math` rounds some differently, and
+    ``exp`` of a log of size 200 turns that one ulp into a hundred in ``P``,
+    so a switch would move the model's outputs.
     """
     if not 0.0 < u < math.inf:
         return 0.0
@@ -126,10 +137,9 @@ def _reg_lower_gamma(a: float, u: float, scale: float | None = None) -> float:
     ((a + 1) ... (a + n))`` adds positive terms; otherwise ``Q = 1 - P``
     comes from its continued fraction by the modified Lentz method.  Both
     stop once a step changes the result by less than one unit in the last
-    place.  This one plain-Python loop serves grids and the quantile alike;
-    the prefactor keeps numpy's ``exp`` and ``log`` (see :func:`_prefactor`)
-    so that outputs keep their bytes.  ``scale`` is :func:`_prefactor` at
-    ``(a, u)``, for a caller that already has it.
+    place.  This one plain-Python loop serves grids and the quantile alike.
+    ``scale`` is :func:`_prefactor` at ``(a, u)``, for a caller that already
+    has it.
     """
     if scale is None:
         scale = _prefactor(a, u)
@@ -145,8 +155,6 @@ def _reg_lower_gamma(a: float, u: float, scale: float | None = None) -> float:
             term *= u / ap
             total += term
         return total * scale
-    if not u >= a + 1.0:
-        return math.nan
     b = u + 1.0 - a
     c = 1.0 / _TINY
     d = 1.0 / b
@@ -169,30 +177,24 @@ def _reg_lower_gamma(a: float, u: float, scale: float | None = None) -> float:
     return 1.0 - scale * h
 
 
-def _raw_cdf(alpha: float, beta: float, eps_basis, x: float) -> float:
-    """The truncated series at ``x``."""
-    # The clamp keeps u = inf (P = 1, zero prefactor) out of 0 * inf below.
-    u = min(x / beta, sys.float_info.max)
-    # P(alpha + j, u) for j = top .. 0 from one incomplete-Gamma evaluation,
-    # recurring down with P(a, u) = P(a + 1, u) + u^a e^-u / Gamma(a + 1):
-    # every added term is positive, so no tail is left to cancellation.  The
-    # prefactor climbs from a = alpha alongside the terms.
-    top = len(eps_basis) - 1
-    while top and eps_basis[top] == 0.0:
-        top -= 1
-    scale = _prefactor(alpha, u)
-    terms = []
-    for j in range(top):
-        terms.append(scale / (alpha + j))
-        scale = terms[-1] * u
-    p = [None] * top + [_reg_lower_gamma(alpha + top, u, scale)]
-    for j in reversed(range(top)):
-        p[j] = p[j + 1] + terms[j]
-    out = p[0]
-    for j, b in enumerate(eps_basis):
-        if b != 0.0:
-            out = out + b * p[j]
-    return out
+def _raw_cdf(model: GammaLaguerreModel, x: float) -> float:
+    """The truncated series at ``x``: ``total * P(alpha + top, u) + pref * S(u)``.
+
+    ``P(alpha + j, u)`` recurs down to ``P(alpha + top, u)`` plus the positive
+    terms ``pref u^k / (alpha)_(k+1)``, ``j <= k < top``, with ``pref`` the
+    prefactor at ``alpha``; summed over the basis, the terms are the
+    polynomial ``S`` whose coefficients :func:`fit` precomputes.
+    """
+    u = x / model.beta
+    if u > _MAX:  # the clamp keeps u = inf (P = 1, zero prefactor) out of 0 * inf
+        u = _MAX
+    pref = _prefactor(model.alpha, u)
+    s = scale = 0.0
+    if pref:  # where the prefactor underflows, u**top may overflow
+        for c in model.horner:
+            s = s * u + c
+        scale = pref * u**model.top / model.poch_top
+    return model.total * _reg_lower_gamma(model.alpha + model.top, u, scale) + pref * s
 
 
 def _derivative_poly(alpha: float, eps_basis) -> np.ndarray:
@@ -279,11 +281,19 @@ def fit(moments: MomentSet) -> GammaLaguerreModel:
         eps_basis[j] = sign * acc / math.factorial(j)
     eps_basis = tuple(eps_basis)
 
-    # Interior stationary points of the raw CDF: positive real roots of the
-    # derivative polynomial.  All of them become running-max candidates.
-    candidates = _positive_real_roots(_derivative_poly(alpha, eps_basis))
-    peak_x = tuple(beta * u for u in candidates)
-    return GammaLaguerreModel(
+    # Fold the series: raw = total * P(alpha + top, u) + pref(alpha, u) * S(u)
+    # with S(u) = sum_{k<top} c_k u^k, c_k = (1 + sum_{j<=k} b_j) / (alpha)_(k+1).
+    top = max((j for j, b in enumerate(eps_basis) if b != 0.0), default=0)
+    total = 1.0
+    coeffs = []
+    poch = 1.0
+    for k, b in enumerate(eps_basis):
+        if b != 0.0:
+            total += b
+        if k < top:
+            poch *= alpha + k
+            coeffs.append(total / poch)
+    model = GammaLaguerreModel(
         alpha=alpha,
         beta=beta,
         q=q,
@@ -291,18 +301,29 @@ def fit(moments: MomentSet) -> GammaLaguerreModel:
         weights_scaled=tuple(weights_scaled),
         source_moments=moments,
         eps_basis=eps_basis,
-        peak_x=peak_x,
-        peak_cdf=tuple(_raw_cdf(alpha, beta, eps_basis, xp) for xp in peak_x),
+        top=top,
+        total=total,
+        horner=tuple(reversed(coeffs)),
+        poch_top=poch,
     )
+
+    # Interior stationary points of the raw CDF: positive real roots of the
+    # derivative polynomial.  All of them become running-max candidates.
+    candidates = _positive_real_roots(_derivative_poly(alpha, eps_basis))
+    peak_x = tuple(beta * u for u in candidates)
+    peak_max = tuple(accumulate((_raw_cdf(model, xp) for xp in peak_x), max))
+    return replace(model, peak_x=peak_x, peak_max=peak_max)
 
 
 def _cdf_point(model: GammaLaguerreModel, x: float) -> tuple[float, float]:
     """Raw and regularized CDF at one point; see :func:`cdf`."""
-    if x < 0:
-        raise ParameterError("cdf requires x >= 0")
-    raw = _raw_cdf(model.alpha, model.beta, model.eps_basis, x)
-    # The running maximum: raw(x) or the raw value at a peak below x.
-    reg = max((raw, *model.peak_cdf[:bisect_right(model.peak_x, x)]))
+    if not x >= 0.0:
+        raise ParameterError(f"cdf requires x >= 0, got {x}")
+    raw = reg = _raw_cdf(model, x)
+    # The running maximum: raw(x) or the largest raw value at a peak below x.
+    k = bisect_right(model.peak_x, x)
+    if k and model.peak_max[k - 1] > raw:
+        reg = model.peak_max[k - 1]
     # Snap the saturated boundaries, which clamps to [0, 1]: within these
     # bands the series value is cancellation round-off (the correction terms
     # are orders of magnitude less accurate), so the wiggle has no meaning
@@ -325,10 +346,12 @@ def cdf(model: GammaLaguerreModel, x):
     if isinstance(x, float) or np.ndim(x) == 0:
         return _cdf_point(model, float(x))
     arr = np.asarray(x, dtype=float)
-    points = [_cdf_point(model, v) for v in arr.ravel().tolist()]
-    raw = np.array([r for r, _ in points]).reshape(arr.shape)
-    reg = np.array([g for _, g in points]).reshape(arr.shape)
-    return raw, reg
+    raw, reg = [], []
+    for v in arr.ravel().tolist():
+        r, g = _cdf_point(model, v)
+        raw.append(r)
+        reg.append(g)
+    return np.array(raw).reshape(arr.shape), np.array(reg).reshape(arr.shape)
 
 
 def cdf_inverse(model: GammaLaguerreModel, p: float) -> float:

@@ -94,6 +94,8 @@ class Ecdf:
         arr = np.sort(np.asarray(values, dtype=float))
         if arr.size == 0:
             raise ParameterError("empirical CDF needs at least one sample")
+        if math.isnan(arr[-1]):  # the sort puts NaN last
+            raise ParameterError("empirical CDF samples must not be NaN")
         self._sorted = arr
 
     @classmethod
@@ -110,10 +112,15 @@ class Ecdf:
         return self(x)
 
     def quantile(self, p: float) -> float:
-        """Linearly interpolated sample quantile (``numpy.quantile``), ``0 < p < 1``."""
+        """Linearly interpolated sample quantile, ``0 < p < 1``, as ``numpy.quantile``."""
         if not 0.0 < p < 1.0:
             raise ParameterError(f"quantile requires 0 < p < 1, got {p}")
-        return float(np.quantile(self._sorted, p))
+        v = self._sorted
+        h = (v.size - 1) * p
+        i = math.floor(h)
+        a, b = float(v[i]), float(v[min(i + 1, v.size - 1)])
+        t, d = h - i, b - a
+        return b - d * (1.0 - t) if t >= 0.5 else a + d * t
 
 
 def _box_muller(u1: np.ndarray, u2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

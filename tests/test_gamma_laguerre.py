@@ -1,6 +1,7 @@
 import math
 import sys
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.special import gammainc, gammaincinv
@@ -173,6 +174,14 @@ class TestCdf:
         with pytest.raises(ParameterError):
             cdf(model, np.array([1.0, -1.0]))
 
+    def test_nan_raises(self):
+        # NaN fails both x < 0 and x >= 0, so it needs a check of its own
+        model = fit(moment_set(ChannelConfig((2, 7, 8, 4)), 6))
+        for x in (math.nan, np.float64(math.nan), np.array(math.nan),
+                  np.array([1.0, math.nan]), [[0.5], [math.nan]]):
+            with pytest.raises(ParameterError, match="nan"):
+                cdf(model, x)
+
     def test_containers(self):
         # (2,2,2,2,2) has interior peaks, so the running maximum is exercised
         model = fit(moment_set(ChannelConfig((2, 2, 2, 2, 2)), 6))
@@ -194,14 +203,17 @@ class TestCdf:
 
     def test_matches_gammainc_sum(self, monkeypatch):
         # the raw series summed from q + 1 independent gammainc calls, as the
-        # model once computed it; the recursion from one call must agree
-        def gammainc_sum(alpha, beta, eps_basis, x):
-            u = np.asarray(x, dtype=float) / beta
-            out = gammainc(alpha, u)
-            for j, b in enumerate(eps_basis):
+        # model once computed it; the folded series from one call must agree
+        calls = []
+
+        def gammainc_sum(model, x):
+            calls.append(x)
+            u = x / model.beta
+            out = gammainc(model.alpha, u)
+            for j, b in enumerate(model.eps_basis):
                 if b != 0.0:
-                    out = out + b * gammainc(alpha + j, u)
-            return out
+                    out = out + b * gammainc(model.alpha + j, u)
+            return float(out)
 
         for dims in [(2, 3), (2, 6, 8, 4), (2, 7, 8, 4), (4, 7, 8, 4), (8, 7, 8, 4), (4, 4),
                      (4, 8, 4), (4, 8, 8, 4), (4, 8, 8, 8, 4), (2, 8, 8, 4)]:
@@ -210,12 +222,43 @@ class TestCdf:
                 grid = np.linspace(0.0, model.mean + 20.0 * model.std, 2001)
                 points = [float(x) for x in grid[::97]]
                 got = cdf(model, grid), [cdf(model, x) for x in points]
+                calls.clear()
                 with monkeypatch.context() as patch:
                     patch.setattr(gamma_laguerre, "_raw_cdf", gammainc_sum)
                     ref = cdf(model, grid), [cdf(model, x) for x in points]
+                assert len(calls) == grid.size + len(points), (dims, q)
                 for a, b in zip(got[0], ref[0]):
                     assert np.max(np.abs(a - b)) <= 1e-13, (dims, q)
                 assert np.max(np.abs(np.array(got[1]) - np.array(ref[1]))) <= 1e-13, (dims, q)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("dims", [(2, 7, 8, 4), (4, 8, 8, 8, 4), (2, 2, 2, 2, 2, 2),
+                                      (1, 1, 9, 1, 1)])
+    def test_raw_series_against_mpmath(self, dims):
+        # the same truncated series (same float alpha, beta and basis weights)
+        # summed at 50 digits; (2,2,2,2,2,2) has weights up to 6e8
+        model = fit(moment_set(ChannelConfig(dims), 6))
+        hi = model.mean + 10.0 * model.std
+        grid = np.concatenate([np.geomspace(1e-6 * model.mean, hi, 100),
+                               np.linspace(0.0, hi, 101)])
+        ref, size = [], []
+        with mpmath.workdps(50):
+            a = mpmath.mpf(model.alpha)
+            for x in grid.tolist():
+                u = mpmath.mpf(x) / model.beta
+                terms = [mpmath.gammainc(a, 0, u, regularized=True)]
+                terms += [b * mpmath.gammainc(a + j, 0, u, regularized=True)
+                          for j, b in enumerate(model.eps_basis) if b != 0.0]
+                ref.append(float(mpmath.fsum(terms)))
+                size.append(float(mpmath.fsum(abs(t) for t in terms)))
+        ref, size = np.array(ref), np.array(size)
+        err = np.abs(cdf(model, grid)[0] - ref)
+        assert err.max() <= 5e-14, err.max()
+        # relative 1e-12, except where the terms cancel: there a few ulp of
+        # each term is all that double arithmetic can promise (on (2,2,2,2,2,2)
+        # at u = 1.4 the terms add to 1.5e5 times the sum)
+        above = ref > 1e-14
+        assert np.all(err[above] <= 1e-12 * ref[above] + 1e-15 * size[above])
 
     def test_monte_carlo_sup_distance(self, samples_2884):
         xs = np.sort(samples_2884.values)

@@ -162,6 +162,11 @@ class TestEcdf:
         with pytest.raises(ParameterError):
             Ecdf([])
 
+    def test_nan_samples_rejected(self):
+        # numpy.quantile answers NaN there for any p; the interpolation would not
+        with pytest.raises(ParameterError, match="NaN"):
+            Ecdf([1.0, math.nan, 2.0])
+
     def test_distribution_interface(self):
         values = np.random.default_rng(8).exponential(size=1001)
         e = Ecdf(values)
@@ -170,6 +175,22 @@ class TestEcdf:
         assert e.cdf(1.0) == e(1.0)
         for p in (0.01, 0.05, 0.5, 0.99):
             assert e.quantile(p) == float(np.quantile(values, p))
+        # the interpolation takes b - d (1 - t) for a fraction t >= 0.5 and
+        # a + d t below it, as numpy does; both branches, every small size
+        rng = np.random.default_rng(9)
+        branches = set()
+        for n in (*range(1, 40), 1000, 4097):
+            values = rng.normal(size=n) * 10.0 ** rng.integers(-3, 4)
+            e = Ecdf(values)
+            ps = rng.uniform(size=20).tolist()
+            if n > 1:
+                mid = [(rng.integers(0, n - 1) + f) / (n - 1) for f in (0.5, 0.49, 0.51)]
+                ps += [p for p in mid if 0.0 < p < 1.0]
+            for p in ps:
+                h = (n - 1) * p
+                branches.add(h - math.floor(h) >= 0.5)
+                assert e.quantile(p) == float(np.quantile(values, p)), (n, p)
+        assert branches == {False, True}
         for p in (0.0, 1.0, -0.2, 1.5):
             with pytest.raises(ParameterError):
                 e.quantile(p)
