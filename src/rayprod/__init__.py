@@ -21,7 +21,6 @@ from .moments import (
     MomentSet,
     closed_form_moment,
     exact_moment,
-    gamma_det_identity,
     leading_order_moment,
     mgf_moments,
     moment_set,
@@ -63,7 +62,6 @@ __all__ = [
     "db_to_linear",
     "exact_moment",
     "fit",
-    "gamma_det_identity",
     "leading_order_moment",
     "load_samples",
     "mgf_moments",

@@ -30,6 +30,7 @@ from .channel import ChannelConfig
 from .errors import NumericError, ParameterError, ResourceError
 from .gamma_laguerre import cdf, fit
 from .moments import (
+    _MAX_ORDER,
     closed_form_moment,
     exact_moment,
     leading_order_moment,
@@ -194,7 +195,10 @@ def _cmd_moments(args) -> int:
     if q < 1:
         raise ParameterError(f"--q must be >= 1, got {q}")
     config = _parse_dims(args.dims)
-    mgf_vals = mgf_moments(config, min(q, 12))  # one expansion up to the order guard
+    mgf_vals = mgf_moments(config, min(q, _MAX_ORDER))  # one expansion up to the order guard
+    # taken first, so a leading-order moment past the float range fails
+    # before any per-order diagnostic is printed
+    leading = [leading_order_moment(config, m) for m in range(1, q + 1)]
     rows = []
     for m in range(1, q + 1):
         exact_val = None
@@ -204,9 +208,7 @@ def _cmd_moments(args) -> int:
             print(f"m={m}: {exc}", file=sys.stderr)
         closed = closed_form_moment(config, m) if m <= 3 else None
         mgf_val = mgf_vals[m] if m < len(mgf_vals) else None
-        rows.append(
-            [m, exact_val, closed, mgf_val, leading_order_moment(config, m)]
-        )
+        rows.append([m, exact_val, closed, mgf_val, leading[m - 1]])
     _emit(
         ["m", "exact", "closed_form", "mgf", "leading_order"],
         rows,
@@ -382,7 +384,8 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("cdf", help="fitted CDF curve on a uniform grid")
     add_common(p)
-    p.add_argument("--q", type=int, default=6, help="matched moments (default 6)")
+    p.add_argument("--q", type=int, default=6,
+                   help=f"matched moments, 1..{_MAX_ORDER} (default 6)")
     p.add_argument("--grid-points", type=int, default=201)
     p.add_argument("--simulate", action="store_true", help="overlay a seeded ECDF")
     p.add_argument("--samples", type=int, default=10**6)
@@ -391,7 +394,8 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("outage", help="outage probability or outage capacity curve")
     add_common(p)
-    p.add_argument("--q", type=int, default=6)
+    p.add_argument("--q", type=int, default=6,
+                   help=f"matched moments, 1..{_MAX_ORDER} (default 6)")
     p.add_argument("--snr-db", type=_finite_float, help="transmit SNR in dB (with --z-grid)")
     p.add_argument("--snr-grid", help="SNR grid start:stop:count in dB (with --pout)")
     p.add_argument("--z-grid", help="rate grid start:stop:count in nats/s/Hz")

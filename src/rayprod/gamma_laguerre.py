@@ -219,19 +219,10 @@ def _positive_real_roots(coeffs: np.ndarray) -> list[float]:
 def fit(moments: MomentSet) -> GammaLaguerreModel:
     """Match a Gamma base to the first two moments and weight the corrections.
 
-    Raises :class:`FitError` when the implied variance is not positive and
-    :class:`ParameterError` when any moment is a ``"leading_order"``
-    approximation: the correction weights amplify its error, so the fit
-    takes only exact moments.
+    Raises :class:`FitError` when the implied variance is not positive.
     """
     if moments.q < 2:
         raise ParameterError("fit needs at least the first two moments")
-    if "leading_order" in moments.methods:
-        exact = moments.methods.index("leading_order")
-        raise ParameterError(
-            f"fit takes exact moments only, which exist up to order {exact}; "
-            f"order {exact + 1} is a leading-order approximation, so use q <= {exact}"
-        )
     e1 = moments.values[0]
     var = moments.variance
     if not var > 0:

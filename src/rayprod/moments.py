@@ -18,8 +18,8 @@ suite:
 
 Both exact routes round each moment once, so they agree bit for bit.
 :func:`leading_order_moment` provides the dominant term ``prod_i (K_i)_m /
-m!``, exact in the limit of many clusters and the fallback past the order
-guard ``m <= 12``.
+m!``, exact in the limit of many clusters; it is tabulated next to the exact
+moments and never fitted.
 """
 
 from __future__ import annotations
@@ -43,7 +43,6 @@ __all__ = [
     "leading_order_moment",
     "moment_set",
     "composition_count",
-    "gamma_det_identity",
 ]
 
 _MAX_ORDER = 12
@@ -52,20 +51,12 @@ _RATIONAL_TERM_CAP = 60_000  # the partition sum's composition count limit
 
 @dataclass(frozen=True)
 class MomentSet:
-    """Moments ``E[X^1] .. E[X^q]`` with per-entry method provenance.
-
-    ``methods[i]`` records how ``values[i]`` was obtained: ``"mgf_series"``
-    (exact, orders ``m <= 12``) or ``"leading_order"`` (past the order
-    guard).
-    """
+    """Moments ``E[X^1] .. E[X^q]`` of ``X`` for one channel."""
 
     config: ChannelConfig
     values: tuple[float, ...]
-    methods: tuple[str, ...]
 
     def __post_init__(self):
-        if len(self.values) != len(self.methods):
-            raise ParameterError("values and methods must have equal length")
         if len(self.values) < 1:
             raise ParameterError("a MomentSet needs at least one moment")
         if any(not v > 0 for v in self.values):
@@ -206,28 +197,18 @@ def closed_form_moment(config: ChannelConfig, m: int) -> float:
 def _bareiss(rows: list[list[list[int]]], cap: int) -> list[int]:
     """Determinant of a matrix of integer power series truncated after ``s**cap``.
 
-    Entries are coefficient lists of length ``cap + 1``; ``cap = 0`` is an
-    integer matrix.  Bareiss's fraction-free elimination replaces entry
-    (i, j) at step k by ``(a_ij a_kk - a_ik a_kj) / p``, with ``p`` the
-    previous pivot.  By Sylvester's identity the quotient is a minor of the
-    matrix, hence an integer series, and because ``p`` has a nonzero
-    constant term, series division recovers it exactly.
-
-    Only the integer case swaps in a row below a zero pivot (none left means
-    the determinant is 0).  A series matrix is not pivoted: its
-    constant-term matrix must have nonzero leading principal minors, as the
-    binomial matrix of :func:`_mgf_coefficients` has (they are all 1).
+    Entries are coefficient lists of length ``cap + 1``.  Bareiss's
+    fraction-free elimination replaces entry (i, j) at step k by ``(a_ij
+    a_kk - a_ik a_kj) / p``, with ``p`` the previous pivot.  By Sylvester's
+    identity the quotient is a minor of the matrix, hence an integer series,
+    and because ``p`` has a nonzero constant term, series division recovers
+    it exactly.  There is no pivoting: the constant-term matrix must have
+    nonzero leading principal minors, as the binomial matrix of
+    :func:`_mgf_coefficients` has (they are all 1).
     """
     n = len(rows)
-    sign = 1
     prev = [1] + [0] * cap
     for k in range(n - 1):
-        if cap == 0 and rows[k][k][0] == 0:
-            swap = next((r for r in range(k + 1, n) if rows[r][k][0]), None)
-            if swap is None:
-                return [0]
-            rows[k], rows[swap] = rows[swap], rows[k]
-            sign = -sign
         pivot = rows[k][k]
         for i in range(k + 1, n):
             left = rows[i][k]
@@ -240,12 +221,7 @@ def _bareiss(rows: list[list[list[int]]], cap: int) -> list[int]:
                     out.append(c // prev[0])
                 rows[i][j] = out
         prev = pivot
-    return [sign * c for c in rows[n - 1][n - 1]]
-
-
-def _det_bareiss(rows: list[list[int]]) -> int:
-    """Exact determinant of an integer matrix: :func:`_bareiss` at ``cap = 0``."""
-    return _bareiss([[[x] for x in row] for row in rows], 0)[0]
+    return rows[n - 1][n - 1]
 
 
 @functools.lru_cache(maxsize=None)
@@ -255,9 +231,9 @@ def _mgf_coefficients(cdims: tuple[int, ...], cap: int) -> tuple[int, ...]:
     Entry (i, j) of the MGF matrix has coefficients ``(i+j+nu_1+t-2)! / t!
     * prod_{q>=2} (j+nu_q)_t``.  Row i is divided by ``(i-1)!`` and column
     j by ``(j+nu_1-1)!``, which divides the determinant by its Gram
-    normalization ``prod_j Gamma(j) Gamma(j+nu_1)`` (see
-    :func:`gamma_det_identity`) and leaves the integer entries
-    ``C(i+j+nu_1+t-2, i-1) * C(j+nu_1+t-1, t) * prod_{q>=2} (j+nu_q)_t``.
+    normalization ``prod_j Gamma(j) Gamma(j+nu_1)`` and leaves the integer
+    entries ``C(i+j+nu_1+t-2, i-1) * C(j+nu_1+t-1, t) * prod_{q>=2}
+    (j+nu_q)_t``.
     Their constant terms form a binomial matrix whose leading principal
     minors are all 1, so the determinant's constant term is 1.
     """
@@ -290,42 +266,6 @@ def mgf_moments(config: ChannelConfig, max_m: int) -> list[float]:
     return [_to_float(c * math.factorial(m), config, m) for m, c in enumerate(coeffs)]
 
 
-def gamma_det_identity(k0: int, nu1: int, m: int) -> tuple[float, float]:
-    """Both sides of the shifted Gamma-matrix determinant identity.
-
-    ``lhs`` is the determinant of the ``k0 x k0`` matrix whose first
-    ``k0 - 1`` columns are ``Gamma(i + j + nu1 - 1)`` and whose last column is
-    ``Gamma(i + k0 + nu1 + m - 1)``; ``rhs`` is the closed form
-
-        Gamma(m + nu1 + k0) * Gamma(m + k0) / Gamma(m + 1)
-        * prod_{i=1..k0-1} Gamma(i) * Gamma(i + nu1).
-
-    With ``m = 0`` this reduces to the classical Gram identity
-    ``det(Gamma(i + j + nu1 - 1)) = prod_j Gamma(j) Gamma(j + nu1)``, the
-    normalization of :func:`mgf_moments` and of the partition sum.  All
-    arguments are integers, so both sides are computed exactly (factorial
-    entries, fraction-free elimination) and rounded once.
-    """
-    k0, nu1, m = int(k0), int(nu1), int(m)
-    if not (1 <= k0 <= 12 and 0 <= nu1 <= 12 and 0 <= m <= 12):
-        raise ParameterError(
-            f"gamma_det_identity range guard: need 1<=k0<=12, 0<=nu1<=12, 0<=m<=12, "
-            f"got ({k0}, {nu1}, {m})"
-        )
-    fact = math.factorial
-    rows = [
-        [fact(i + j + nu1 - 2) for j in range(1, k0)] + [fact(i + k0 + nu1 + m - 2)]
-        for i in range(1, k0 + 1)
-    ]
-    rhs = (
-        fact(m + nu1 + k0 - 1)
-        * fact(m + k0 - 1)
-        // fact(m)
-        * math.prod(fact(i - 1) * fact(i + nu1 - 1) for i in range(1, k0))
-    )
-    return float(_det_bareiss(rows)), float(rhs)
-
-
 def leading_order_moment(config: ChannelConfig, m: int) -> float:
     """Dominant higher-moment term ``prod_i (K_i)_m / m!``."""
     m = int(m)
@@ -335,22 +275,19 @@ def leading_order_moment(config: ChannelConfig, m: int) -> float:
     total = math.comb(dims[0] + m - 1, m)  # (K0)_m / m!, an integer
     for k in dims[1:]:
         total *= math.prod(range(k, k + m))
-    return float(total)
+    return _to_float(total, config, m)
 
 
 def moment_set(config: ChannelConfig, q: int) -> MomentSet:
-    """Moments ``m = 1 .. q`` with per-entry provenance.
+    """Exact moments ``m = 1 .. q`` from one :func:`mgf_moments` expansion.
 
-    Orders ``m <= 12`` come from one exact :func:`mgf_moments` expansion
-    (``"mgf_series"``); orders past 12 take :func:`leading_order_moment`
-    (``"leading_order"``), which :func:`~rayprod.gamma_laguerre.fit`
-    refuses.  The partition sum and the closed forms are the independent
-    cross-checks of the MGF route and are not used here.
+    The partition sum and the closed forms are the independent cross-checks
+    of the MGF route and are not used here.
     """
     q = int(q)
-    if q < 1:
-        raise ParameterError(f"q must be >= 1, got {q}")
-    exact = mgf_moments(config, min(q, _MAX_ORDER))[1:]
-    tail = [leading_order_moment(config, m) for m in range(_MAX_ORDER + 1, q + 1)]
-    methods = ("mgf_series",) * len(exact) + ("leading_order",) * len(tail)
-    return MomentSet(config, tuple(exact + tail), methods)
+    if not 1 <= q <= _MAX_ORDER:
+        raise ParameterError(
+            f"q must be in 1..{_MAX_ORDER}, got {q}: "
+            f"exact moments exist up to order {_MAX_ORDER}"
+        )
+    return MomentSet(config, tuple(mgf_moments(config, q)[1:]))

@@ -14,6 +14,7 @@ import pytest
 from scipy.special import gammainc
 
 from conftest import sup_distance
+from gamma_identity import gamma_det_identity
 from rayprod import (
     ChannelConfig,
     cdf,
@@ -22,7 +23,6 @@ from rayprod import (
     db_to_linear,
     exact_moment,
     fit,
-    gamma_det_identity,
     mgf_moments,
     moment_set,
     ostbc_catalog,

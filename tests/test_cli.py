@@ -234,7 +234,7 @@ class TestErrorCodes:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for command, *extra in commands:
-                for q in ("13", "14"):
+                for q in ("13", "14", "1000"):
                     code, out, err = _run(capsys, [command, "--dims", "2,4", "--q", q, *extra])
                     assert code == 2, (command, q)
                     assert out == ""
@@ -243,6 +243,14 @@ class TestErrorCodes:
         # the moment table still lists the leading-order column past 12
         code, _, _ = _run(capsys, ["moments", "--dims", "2,4", "--q", "13"])
         assert code == 0
+
+    def test_leading_order_past_the_float_range(self, capsys):
+        code, out, err = _run(capsys, ["moments", "--dims", "2,4", "--q", "200"])
+        assert code == 4
+        assert out == ""
+        assert err.startswith("rayprod: numeric error:")
+        assert "Traceback" not in err
+        assert err.strip().count("\n") == 0
 
     def test_grid_points_below_two(self, capsys):
         for points in ("-1", "0", "1"):

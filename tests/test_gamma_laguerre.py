@@ -36,7 +36,7 @@ class TestFit:
 
     def test_gamma_round_trip(self):
         # moments of a Gamma(shape 2, scale 3) law: E[X]=6, E[X^2]=54
-        ms = MomentSet(ChannelConfig((2, 3)), (6.0, 54.0), ("exact_partition",) * 2)
+        ms = MomentSet(ChannelConfig((2, 3)), (6.0, 54.0))
         model = fit(ms)
         assert model.alpha == pytest.approx(2.0, rel=1e-14)
         assert model.beta == pytest.approx(3.0, rel=1e-14)
@@ -55,7 +55,7 @@ class TestFit:
             assert abs(model.weights[2]) <= 1e-10
 
     def test_degenerate_variance(self):
-        ms = MomentSet(ChannelConfig((1, 1)), (2.0, 4.0), ("exact_partition",) * 2)
+        ms = MomentSet(ChannelConfig((1, 1)), (2.0, 4.0))
         with pytest.raises(FitError):
             fit(ms)
 
@@ -63,14 +63,13 @@ class TestFit:
         with pytest.raises(ParameterError):
             fit(moment_set(ChannelConfig((2, 3)), 1))
 
-    def test_refuses_leading_order_moments(self):
-        # (2, 4) is exactly Gamma(8); its leading-order E[X^13] is ~10x too
-        # small, and a fit on it gave a raw CDF above 1
+    def test_fits_up_to_order_12_only(self):
+        # a fit takes exact moments only, and they stop at order 12
         c = ChannelConfig((2, 4))
         assert fit(moment_set(c, 12)).q == 12
         for q in (13, 14):
             with pytest.raises(ParameterError, match="up to order 12"):
-                fit(moment_set(c, q))
+                moment_set(c, q)
 
     def test_degenerate_dims_warn(self):
         with pytest.warns(RuntimeWarning):

@@ -200,6 +200,13 @@ class TestLeadingOrderMoment:
         assert leading_order_moment(ChannelConfig((1, 1)), 5) == 120.0
         assert leading_order_moment(ChannelConfig((2, 2)), 2) == 18.0
 
+    def test_past_the_float_range(self):
+        # prod_i (K_i)_m / m! outgrows a double long before m = 200
+        c = ChannelConfig((2, 4))
+        assert leading_order_moment(c, 13) == float(14 * math.prod(range(4, 17)))
+        with pytest.raises(NumericError, match="exceeds the float range"):
+            leading_order_moment(c, 200)
+
     def test_dominates_for_many_clusters(self):
         # exact/leading for [2,8(,8)*] at m=4 approaches 1 monotonically in n;
         # the frozen end ratio 1.2015 comes from the exact partition-sum
@@ -218,18 +225,18 @@ class TestMomentSet:
     def test_exact_fill(self):
         ms = moment_set(ChannelConfig((2, 3)), 3)
         assert ms.values == (6.0, 42.0, 336.0)
-        assert ms.methods == ("mgf_series",) * 3
 
     def test_single_moment(self):
         ms = moment_set(ChannelConfig((4, 4)), 1)
         assert ms.values == (16.0,)
 
-    def test_leading_order_fallback(self):
-        # orders past the exact guards (m <= 12) fall back to the leading term
+    def test_stops_at_order_12(self):
+        # every moment is exact, and exact moments stop at order 12
         c = ChannelConfig((2, 3))
-        fallback = moment_set(c, 13)
-        assert fallback.methods == ("mgf_series",) * 12 + ("leading_order",)
-        assert fallback.values[-1] == leading_order_moment(c, 13)
+        assert moment_set(c, 12).q == 12
+        for q in (13, 14, 10**6):
+            with pytest.raises(ParameterError, match="up to order 12"):
+                moment_set(c, q)
         with pytest.raises(ResourceError):
             exact_moment(c, 13)
 
@@ -249,7 +256,6 @@ class TestMomentSet:
     def test_mgf_fill_above_partition_cap(self):
         c = ChannelConfig((30, 30))
         ms = moment_set(c, 8)
-        assert ms.methods == ("mgf_series",) * 8
         assert ms.values == tuple(mgf_moments(c, 8)[1:])
 
     def test_reads_only_the_mgf_route(self, monkeypatch):
@@ -279,9 +285,7 @@ class TestMomentSet:
 
     def test_validation(self):
         with pytest.raises(ParameterError):
-            MomentSet(ChannelConfig((2, 3)), (6.0,), ("exact_partition", "extra"))
-        with pytest.raises(ParameterError):
-            MomentSet(ChannelConfig((2, 3)), (-6.0,), ("exact_partition",))
+            MomentSet(ChannelConfig((2, 3)), (-6.0,))
 
 
 def test_sample_moments_match_monte_carlo(samples_2784):

@@ -1,8 +1,9 @@
-"""Property tests of the fitted CDF model over random channel dims.
+"""Property tests of the moments, the sampler and the fitted CDF model over
+random channel dims.
 
-The domain is fixed: one to four factors, every dim in 1..10, q = 6.  The
-examples are derandomized, so a run is reproducible and a failure names the
-dims that produced it.
+The domains are fixed: one to four factors, every dim in 1..10 (1..6 for the
+moments), q = 6 for the model.  The examples are derandomized, so a run is
+reproducible and a failure names the dims that produced it.
 """
 
 import warnings
@@ -11,10 +12,17 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rayprod import ChannelConfig, cdf, cdf_inverse, fit, moment_set
+from rayprod import ChannelConfig, cdf, cdf_inverse, fit, mgf_moments, moment_set
+from rayprod.moments import _exact_moment_rational
+from rayprod.montecarlo import _frobenius_values
 
-_DIMS = st.integers(1, 4).flatmap(
-    lambda n: st.tuples(*[st.integers(1, 10)] * (n + 1)))
+
+def _dims(top):
+    return st.integers(1, 4).flatmap(
+        lambda n: st.tuples(*[st.integers(1, top)] * (n + 1)))
+
+
+_DIMS = _dims(10)
 _SETTINGS = settings(derandomize=True, database=None, max_examples=150, deadline=None)
 
 
@@ -42,3 +50,23 @@ def test_quantile_round_trip(dims, p):
     model = _model(dims)
     x = cdf_inverse(model, p)
     assert abs(cdf(model, x)[1] - p) <= 1e-10, (dims, p, x)
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(dims=_dims(6))
+def test_mgf_moments_equal_the_rational_partition_sum(dims):
+    c = ChannelConfig(dims)
+    batch = mgf_moments(c, 12)
+    assert batch[0] == 1.0
+    for m in range(1, 13):
+        assert batch[m] == float(_exact_moment_rational(c.canonical_dims, m)), (dims, m)
+
+
+@settings(derandomize=True, database=None, max_examples=50, deadline=None)
+@given(dims=_DIMS, seed=st.integers(0, 2**64 - 1),
+       splits=st.lists(st.integers(1, 199), max_size=6, unique=True))
+def test_sampler_splits_concatenate_to_the_whole_run(dims, seed, splits):
+    c = ChannelConfig(dims)
+    bounds = [0] + sorted(splits) + [200]
+    parts = [_frobenius_values(c, a, b, seed) for a, b in zip(bounds, bounds[1:])]
+    assert np.array_equal(np.concatenate(parts), _frobenius_values(c, 0, 200, seed)), dims
