@@ -13,7 +13,7 @@ import rayprod as rp
 
 config = rp.ChannelConfig((2, 6, 8, 4))
 samples = rp.sample_frobenius(config, 200_000, seed=0)
-ecdf = rp.Ecdf.from_samples(samples)
+ecdf = rp.Ecdf(samples.values)
 xs = np.sort(samples.values)
 ranks = np.arange(1, xs.size + 1) / xs.size
 

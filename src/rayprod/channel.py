@@ -60,11 +60,5 @@ class ChannelConfig:
         """Channel energy normalization, the product of all dims except ``K0``."""
         return math.prod(self.dims[1:])
 
-    def prefix(self, n: int) -> "ChannelConfig":
-        """Sub-channel built from the first ``n`` factors, dims ``(K0, ..., Kn)``."""
-        if not 1 <= n <= self.n:
-            raise ParameterError(f"prefix length {n} outside 1..{self.n}")
-        return ChannelConfig(self.dims[: n + 1])
-
     def __str__(self) -> str:
         return "[" + ",".join(str(k) for k in self.dims) + "]"

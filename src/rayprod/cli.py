@@ -121,7 +121,7 @@ def _finite_float(text: str) -> float:
 
 
 def _parse_scheme(args, config: ChannelConfig) -> OstbcScheme:
-    if getattr(args, "rate", None):
+    if args.rate:
         parts = args.rate.split("/")
         try:
             if len(parts) == 1:
@@ -182,7 +182,7 @@ def _emit(header: list[str], rows: list[list], fmt: str, out: str | None) -> Non
 
 
 def _capacity_header(args) -> tuple[str, float]:
-    if getattr(args, "bits", False):
+    if args.bits:
         return "bits_per_s_hz", _NATS_TO_BITS
     return "nats_per_s_hz", 1.0
 
@@ -231,7 +231,7 @@ def _cmd_cdf(args) -> int:
     if args.simulate:
         seed = _resolve_seed(args.seed)
         samples = sample_frobenius(config, args.samples, seed)
-        columns.append(Ecdf.from_samples(samples)(grid))
+        columns.append(Ecdf(samples.values)(grid))
         header.append("ecdf")
     rows = [list(point) for point in zip(*columns)]
     _emit(header, rows, args.format, args.out)
@@ -287,8 +287,7 @@ def _cmd_simulate(args) -> int:
         sys.stdout.write(json.dumps(summary, indent=1) + "\n")
     else:
         _emit(["statistic", "value"],
-              [[k, val if isinstance(val, str) else float(val)]
-               for k, val in summary.items() if k != "dims"],
+              [[k, float(val)] for k, val in summary.items() if k != "dims"],
               "csv", None)
     return 0
 
@@ -310,7 +309,7 @@ def _cmd_reproduce(args) -> int:
                 p = outage_probability(model, scheme, config, gamma, z)
                 rows += [[f"{config};model;q={q}", zi * factor, pi]
                          for zi, pi in zip(z, p)]
-            ecdf = Ecdf.from_samples(sample_frobenius(config, args.samples, seed + mc_index))
+            ecdf = Ecdf(sample_frobenius(config, args.samples, seed + mc_index).values)
             mc_index += 1
             p = outage_probability(ecdf, scheme, config, gamma, z)
             rows += [[f"{config};mc", zi * factor, pi] for zi, pi in zip(z, p)]
@@ -326,7 +325,7 @@ def _cmd_reproduce(args) -> int:
         for clusters in _FIG3_CLUSTERS:
             config = ChannelConfig((4, *([8] * clusters), 4))
             model = fit(moment_set(config, 6))
-            ecdf = Ecdf.from_samples(sample_frobenius(config, args.samples, seed + mc_index))
+            ecdf = Ecdf(sample_frobenius(config, args.samples, seed + mc_index).values)
             mc_index += 1
             for snr_db in (0.0, 5.0):
                 gamma = db_to_linear(snr_db)
@@ -346,7 +345,7 @@ def _cmd_reproduce(args) -> int:
             scheme = ostbc_catalog(k0)
             config = ChannelConfig((k0, 7, 8, 4))
             reference = ChannelConfig((k0, 4))
-            ecdf = Ecdf.from_samples(sample_frobenius(config, args.samples, seed + mc_index))
+            ecdf = Ecdf(sample_frobenius(config, args.samples, seed + mc_index).values)
             mc_index += 1
             for curve_config, dist, label in (
                 (config, fit(moment_set(config, 6)), "model"),
@@ -370,10 +369,9 @@ def _build_parser() -> _Parser:
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, dims=True):
-        if dims:
-            p.add_argument("--dims", required=True,
-                           help="channel dimensions K0,...,Kn (transmit to receive)")
+    def add_common(p):
+        p.add_argument("--dims", required=True,
+                       help="channel dimensions K0,...,Kn (transmit to receive)")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--out", help="output path (default: stdout)")
 

@@ -62,9 +62,9 @@ _STIRLING_MIN_A = 10.0
 class GammaLaguerreModel:
     """Fitted CDF model; immutable and safe to share across threads.
 
-    ``weights`` are the textbook correction weights ``w_0 .. w_q`` (kept for
-    diagnostics).  ``weights_scaled[i] = (alpha)_i * Gamma(alpha) * w_i``
-    are the well-conditioned quantities the basis weights come from.
+    ``weights_scaled[i] = (alpha)_i * Gamma(alpha) * w_i``, with ``w_i``
+    the textbook correction weights, are the well-conditioned quantities
+    the basis weights come from.
     ``top``, ``total``, ``horner`` and ``poch_top`` are the folded series
     :func:`_raw_cdf` evaluates, and ``peak_max[i]`` the largest raw value at
     the interior peaks ``peak_x[:i + 1]``.
@@ -73,7 +73,6 @@ class GammaLaguerreModel:
     alpha: float
     beta: float
     q: int
-    weights: tuple[float, ...]
     weights_scaled: tuple[float, ...]
     source_moments: MomentSet
     eps_basis: tuple[float, ...]
@@ -130,7 +129,7 @@ def _prefactor(a: float, u: float) -> float:
     return float(np.exp(log_scale))
 
 
-def _reg_lower_gamma(a: float, u: float, scale: float | None = None) -> float:
+def _reg_lower_gamma(a: float, u: float, scale: float) -> float:
     """Regularized lower incomplete Gamma ``P(a, u)``, ``a > 0``, ``u >= 0``.
 
     For ``u < a + 1`` the series ``P = u^a e^-u / Gamma(a + 1) * sum_n u^n /
@@ -138,11 +137,8 @@ def _reg_lower_gamma(a: float, u: float, scale: float | None = None) -> float:
     comes from its continued fraction by the modified Lentz method.  Both
     stop once a step changes the result by less than one unit in the last
     place.  This one plain-Python loop serves grids and the quantile alike.
-    ``scale`` is :func:`_prefactor` at ``(a, u)``, for a caller that already
-    has it.
+    ``scale`` is :func:`_prefactor` at ``(a, u)``.
     """
-    if scale is None:
-        scale = _prefactor(a, u)
     if u == 0.0:
         return 0.0
     if u == math.inf:
@@ -239,10 +235,7 @@ def fit(moments: MomentSet) -> GammaLaguerreModel:
         gamma_l *= (alpha + l - 1) * beta
         mu_excess[l] = (moments.values[l - 1] - gamma_l) / gamma_l
 
-    weights = [0.0] * (q + 1)
     weights_scaled = [0.0] * (q + 1)
-    inv_gamma_alpha = math.exp(-math.lgamma(alpha))
-    weights[0] = inv_gamma_alpha
     weights_scaled[0] = 1.0
     poch = 1.0
     for i in range(1, q + 1):
@@ -250,7 +243,6 @@ def fit(moments: MomentSet) -> GammaLaguerreModel:
         s_i = math.fsum(
             (-1.0) ** l * math.comb(i, l) * mu_excess[l] for l in range(1, i + 1)
         )
-        weights[i] = s_i * inv_gamma_alpha
         weights_scaled[i] = poch * s_i
         if abs(weights_scaled[i]) > _WEIGHT_WARN_MAGNITUDE:
             warnings.warn(
@@ -288,7 +280,6 @@ def fit(moments: MomentSet) -> GammaLaguerreModel:
         alpha=alpha,
         beta=beta,
         q=q,
-        weights=tuple(weights),
         weights_scaled=tuple(weights_scaled),
         source_moments=moments,
         eps_basis=eps_basis,

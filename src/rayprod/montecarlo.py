@@ -47,6 +47,7 @@ on the batch size.
 from __future__ import annotations
 
 import math
+import operator
 import struct
 from dataclasses import dataclass, field
 
@@ -77,14 +78,16 @@ class SampleSet:
 
     config: ChannelConfig
     seed: int
-    count: int
     values: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        if self.count < 1:
-            raise ParameterError(f"count must be >= 1, got {self.count}")
-        if self.values.shape != (self.count,):
-            raise ParameterError("values length must equal count")
+        _check_seed(self.seed)
+        if self.values.ndim != 1 or self.values.size == 0:
+            raise ParameterError("values must be a non-empty 1-d array")
+
+    @property
+    def count(self) -> int:
+        return self.values.size
 
 
 class Ecdf:
@@ -97,10 +100,6 @@ class Ecdf:
         if math.isnan(arr[-1]):  # the sort puts NaN last
             raise ParameterError("empirical CDF samples must not be NaN")
         self._sorted = arr
-
-    @classmethod
-    def from_samples(cls, samples: SampleSet) -> "Ecdf":
-        return cls(samples.values)
 
     def __call__(self, x):
         idx = np.searchsorted(self._sorted, np.asarray(x, dtype=float), side="right")
@@ -137,9 +136,20 @@ def _box_muller(u1: np.ndarray, u2: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     return scale * (1.0 - t * t), scale * (2.0 * t)
 
 
+def _check_seed(seed) -> int:
+    """``seed`` as an int; anything but an integer in ``[0, 2**64)`` is refused."""
+    try:
+        value = operator.index(seed)
+    except TypeError:
+        value = -1
+    if not 0 <= value < 2**64:
+        raise ParameterError(f"seed must be an integer in [0, 2**64), got {seed!r}")
+    return value
+
+
 def _philox(seed: int, tag: int) -> np.random.Philox:
     """Independent Philox stream ``tag`` derived from the 64-bit seed."""
-    return np.random.Philox(key=((seed & (2**64 - 1)) << 16) | tag)
+    return np.random.Philox(key=(_check_seed(seed) << 16) | tag)
 
 
 def _padded(doubles: int) -> int:
@@ -164,24 +174,6 @@ def _uniform_rows(
     buf = np.empty(count * d4) if out is None else out[: count * d4]
     np.random.Generator(bitgen).random(out=buf)
     return buf.reshape(count, d4)[:, :doubles]
-
-
-def _normal_rows(
-    seed: int, start: int, count: int, doubles: int, tag: int = 0
-) -> np.ndarray:
-    """Standard normals for samples ``start .. start+count-1``, ``doubles`` each."""
-    u = _uniform_rows(seed, start, count, doubles, tag)
-    z = np.empty_like(u)
-    z[:, 0::2], z[:, 1::2] = _box_muller(u[:, 0::2], u[:, 1::2])
-    return z
-
-
-def _complex_block(z: np.ndarray, rows: int, cols: int) -> np.ndarray:
-    """Unit-variance complex Gaussian matrices: all real parts, then all imaginary."""
-    cnt = rows * cols
-    re = z[:, :cnt].reshape(-1, rows, cols)
-    im = z[:, cnt : 2 * cnt].reshape(-1, rows, cols)
-    return (re + 1j * im) / np.sqrt(2.0)
 
 
 def _triangle_chain_norm(diag: np.ndarray, upper: np.ndarray) -> np.ndarray:
@@ -260,28 +252,23 @@ def sample_frobenius(config: ChannelConfig, count: int, seed: int) -> SampleSet:
         raise ParameterError(f"count must be >= 1, got {count}")
     values = _frobenius_values(config, 0, count, seed)
     values.setflags(write=False)
-    return SampleSet(config=config, seed=int(seed), count=count, values=values)
+    return SampleSet(config=config, seed=int(seed), values=values)
 
 
-def variance_recursion(
-    config: ChannelConfig, upto_n: int | None = None
-) -> list[tuple[int, float, float, float]]:
+def variance_recursion(config: ChannelConfig) -> list[tuple[int, float, float, float]]:
     """Analytic mean and variance of ``Y_n = X / (K0 * N)`` per prefix.
 
     Returns rows ``(n, mean, variance, increment)`` for ``n = 1 ..
-    upto_n``.  The mean is identically one; the variance grows by
+    config.n``.  The mean is identically one; the variance grows by
 
         (1 / (2 K_n)) * (prod_{i<n} (1 + 1/K_i) - prod_{i<n} (1 - 1/K_i))
 
     at every added factor, so it is strictly increasing in ``n``.
     """
-    upto = config.n if upto_n is None else int(upto_n)
-    if not 1 <= upto <= config.n:
-        raise ParameterError(f"upto_n must be in 1..{config.n}, got {upto}")
     dims = config.dims
     rows = []
     variance = 0.0
-    for n in range(1, upto + 1):
+    for n in range(1, config.n + 1):
         plus = math.prod(1.0 + 1.0 / k for k in dims[:n])
         minus = math.prod(1.0 - 1.0 / k for k in dims[:n])
         increment = (plus - minus) / (2.0 * dims[n])
@@ -342,13 +329,17 @@ def rayleigh_limit_distance(
             v.conj().transpose(0, 2, 1)
         )
 
-    doubles_rx = 2 * k0 * kn
-    batch = max(1, _TARGET_WORDS_PER_BATCH // doubles_rx)
+    # Receive layer: Box-Muller normals interleaved per sample, the first
+    # kn * k0 of them real parts and the rest imaginary parts.
+    entries = kn * k0
+    batch = max(1, _TARGET_WORDS_PER_BATCH // (2 * entries))
     parts = []
     for s in range(0, count, batch):
         b = min(batch, count - s)
-        z_rx = _normal_rows(seed, s, b, doubles_rx, tag=1)
-        g_rx = _complex_block(z_rx, kn, k0)
+        u = _uniform_rows(seed, s, b, 2 * entries, tag=1)
+        z = np.empty_like(u)
+        z[:, 0::2], z[:, 1::2] = _box_muller(u[:, 0::2], u[:, 1::2])
+        g_rx = (z[:, :entries] + 1j * z[:, entries:]).reshape(-1, kn, k0) / np.sqrt(2.0)
         h = (g_rx if factor is None else g_rx @ factor[s : s + b]) / scale
         parts += [h.real.ravel(), h.imag.ravel()]
     # The statistic sorts its input, so the pool order is immaterial.
@@ -402,9 +393,7 @@ def _nested_layer_gram(
 
 def save_samples(samples: SampleSet, path) -> None:
     """Write a SampleSet as a 32-byte header plus little-endian float64 values."""
-    header = _HEADER.pack(
-        _MAGIC, _VERSION, samples.count, samples.seed & (2**64 - 1)
-    )
+    header = _HEADER.pack(_MAGIC, _VERSION, samples.count, samples.seed)
     with open(path, "wb") as fh:
         fh.write(header)
         fh.write(np.ascontiguousarray(samples.values, dtype="<f8").tobytes())
@@ -433,4 +422,4 @@ def load_samples(path, config: ChannelConfig) -> SampleSet:
         )
     values = values.astype(float)
     values.setflags(write=False)
-    return SampleSet(config=config, seed=seed, count=count, values=values)
+    return SampleSet(config=config, seed=seed, values=values)

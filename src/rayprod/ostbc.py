@@ -101,7 +101,7 @@ def _snr_denominator(scheme: OstbcScheme, config: ChannelConfig, gamma) -> float
             f"scheme is for {scheme.tx_antennas} transmit antennas but dims "
             f"start with {config.dims[0]}"
         )
-    if not np.all(np.asarray(gamma) > 0):
+    if not np.all(gamma > 0):
         raise ParameterError(f"transmit SNR must be positive, got {gamma}")
     return float(scheme.rate) * config.dims[0] * config.normalization
 
@@ -110,7 +110,7 @@ def outage_probability(
     dist,
     scheme: OstbcScheme,
     config: ChannelConfig,
-    gamma: float,
+    gamma,
     z,
 ):
     """Probability that the instantaneous capacity falls below rate ``z``.
@@ -118,8 +118,9 @@ def outage_probability(
     ``dist`` is any distribution of ``X`` with a ``cdf(x)`` method (the
     fitted :class:`GammaLaguerreModel` or a Monte-Carlo :class:`Ecdf`).
     ``z`` is in nats/s/Hz and may be a scalar or array; ``gamma`` is the
-    linear transmit SNR.
+    linear transmit SNR, a scalar or array-like.
     """
+    gamma = np.asarray(gamma, dtype=float)
     denominator = _snr_denominator(scheme, config, gamma)
     z_arr = np.asarray(z, dtype=float)
     if np.any(z_arr < 0):
@@ -142,8 +143,9 @@ def outage_capacity(
 
     ``dist`` is any distribution of ``X`` with a ``quantile(p)`` method.
     ``gamma`` (linear transmit SNR) may be a scalar, which returns a float,
-    or an array; the quantile is taken once for all SNRs.
+    or an array-like; the quantile is taken once for all SNRs.
     """
+    gamma = np.asarray(gamma, dtype=float)
     denominator = _snr_denominator(scheme, config, gamma)
     r = float(scheme.rate)
     out = r * np.log1p(gamma * dist.quantile(p) / denominator)

@@ -85,7 +85,7 @@ def test_criterion_3_single_factor_exactness():
             kk = float(k0 * k1)
             assert model.alpha == pytest.approx(kk, rel=1e-12)
             assert model.beta == pytest.approx(1.0, rel=1e-12)
-            assert all(abs(w) <= 1e-8 for w in model.weights[3:])
+            assert all(abs(w) <= 1e-8 for w in model.weights_scaled[3:])
             grid = np.linspace(0.0, model.mean + 10.0 * model.std, 100)
             raw, _ = cdf(model, grid)
             sup = float(np.max(np.abs(raw - gammainc(kk, grid))))
@@ -150,7 +150,7 @@ def test_criterion_6_variance_recursion():
         for n, mean, variance, increment in variance_recursion(config):
             assert mean == 1.0
             assert increment > 0.0
-            prefix = config.prefix(n)
+            prefix = ChannelConfig(config.dims[: n + 1])
             scale = prefix.dims[0] * prefix.normalization
             reference = closed_form_moment(prefix, 2) / scale**2 - 1.0
             assert abs(variance / reference - 1.0) <= 1e-10

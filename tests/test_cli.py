@@ -163,6 +163,25 @@ class TestSimulate:
         assert code == 0
         assert json.loads(via_env) == json.loads(via_flag)
 
+    def test_seed_range(self, capsys, monkeypatch, tmp_path):
+        base = ["simulate", "--dims", "2,3", "--samples", "10"]
+        for seed in ("-1", str(2**64), str(2**64 + 5)):
+            code, out, err = _run(capsys, base + ["--seed", seed])
+            assert code == 2 and out == "", seed
+            assert err.startswith("rayprod: parameter error: seed")
+            assert err.strip().count("\n") == 0
+            monkeypatch.setenv("RAYPROD_SEED", seed)
+            code, out, err = _run(capsys, base)
+            assert code == 2 and out == "", seed
+            assert err.startswith("rayprod: parameter error: seed")
+            assert err.strip().count("\n") == 0
+            monkeypatch.delenv("RAYPROD_SEED")
+        path = tmp_path / "x.bin"
+        code, out, _ = _run(capsys, base + ["--seed", str(2**64 - 1), "--format", "json",
+                                            "--out", str(path)])
+        assert code == 0
+        assert json.loads(out)["seed"] == 2**64 - 1
+
 
 class TestReproduce:
     def test_fig3_bundle(self, capsys, tmp_path):

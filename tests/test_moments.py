@@ -35,13 +35,6 @@ class TestChannelConfig:
         assert c.canonical_dims == (2, 3, 4)
         assert c.normalization == 6
 
-    def test_prefixes(self):
-        c = ChannelConfig((2, 3, 4))
-        assert c.prefix(1).dims == (2, 3)
-        assert c.prefix(2).dims == (2, 3, 4)
-        with pytest.raises(ParameterError):
-            c.prefix(3)
-
     def test_validation(self):
         with pytest.raises(ParameterError):
             ChannelConfig((3,))

@@ -145,6 +145,37 @@ class TestSampleFrobenius:
         with pytest.raises(ParameterError):
             sample_frobenius(ChannelConfig((2, 3)), 0, 0)
 
+    def test_seed_range(self):
+        # the stream key holds 64 seed bits and the sample file a uint64, so
+        # a seed outside [0, 2**64) has no stream or header of its own
+        config = ChannelConfig((2, 3))
+        for seed in (-1, 2**64, 2**64 + 5, 1.5, 3.0, "5", None):
+            with pytest.raises(ParameterError, match="seed"):
+                sample_frobenius(config, 3, seed)
+            with pytest.raises(ParameterError, match="seed"):
+                rayleigh_limit_distance(2, 3, 4, [1.0], 10, seed)
+            with pytest.raises(ParameterError, match="seed"):
+                montecarlo.SampleSet(config, seed, np.ones(3))
+        top = sample_frobenius(config, 3, 2**64 - 1)
+        assert top.seed == 2**64 - 1
+        assert not np.array_equal(top.values, sample_frobenius(config, 3, 0).values)
+        assert np.array_equal(sample_frobenius(config, 3, np.uint64(5)).values,
+                              sample_frobenius(config, 3, 5).values)
+
+
+class TestSampleSet:
+    def test_count_is_the_value_count(self):
+        samples = sample_frobenius(ChannelConfig((2, 3)), 17, 0)
+        assert samples.count == samples.values.size == 17
+        with pytest.raises(AttributeError):
+            samples.count = 3
+
+    def test_values_must_be_a_non_empty_vector(self):
+        config = ChannelConfig((2, 3))
+        for values in (np.ones(0), np.ones((2, 2)), np.float64(1.0)):
+            with pytest.raises(ParameterError, match="1-d"):
+                montecarlo.SampleSet(config, 0, values)
+
 
 class TestEcdf:
     def test_basic_evaluation(self):
@@ -215,14 +246,10 @@ class TestVarianceRecursion:
             dims = tuple(int(k) for k in rng.integers(1, 9, size=rng.integers(2, 6)))
             config = ChannelConfig(dims)
             for n, _, variance, _ in variance_recursion(config):
-                prefix = config.prefix(n)
+                prefix = ChannelConfig(config.dims[: n + 1])
                 scale = prefix.dims[0] * prefix.normalization
                 expected = closed_form_moment(prefix, 2) / scale**2 - 1.0
                 assert variance == pytest.approx(expected, rel=1e-10)
-
-    def test_prefix_guard(self):
-        with pytest.raises(ParameterError):
-            variance_recursion(ChannelConfig((2, 3)), upto_n=2)
 
 
 class TestRayleighLimit:
@@ -258,6 +285,14 @@ class TestRayleighLimit:
         b = rayleigh_limit_distance(2, 3, 7, [1.0], 2000, 5)
         assert a == b
 
+    def test_pinned_values(self):
+        # any change to the stream layout moves these far beyond rel 1e-12;
+        # last-bit differences between SIMD loops on other hosts do not
+        assert rayleigh_limit_distance(2, 3, 7, [1.0], 2000, 5) == pytest.approx(
+            0.01420008302903314, rel=1e-12)
+        assert rayleigh_limit_distance(2, 4, 10, [1.0, 4 / 3], 10**4, 10) == pytest.approx(
+            0.012498882182786941, rel=1e-12)
+
     def test_ks_statistic_matches_scipy(self):
         rng = np.random.default_rng(9)
         arrays = [rng.standard_normal(n) for n in (1, 2, 17, 1000, 40_000)]
@@ -290,14 +325,15 @@ class TestRayleighLimit:
 class TestPersistence:
     def test_round_trip(self, tmp_path):
         config = ChannelConfig((2, 3, 4))
-        samples = sample_frobenius(config, 1234, 99)
-        path = tmp_path / "draws.bin"
-        save_samples(samples, path)
-        assert path.stat().st_size == 32 + 8 * 1234
-        loaded = load_samples(path, config)
-        assert loaded.count == 1234
-        assert loaded.seed == 99
-        assert np.array_equal(loaded.values, samples.values)
+        for seed in (99, 2**64 - 1):
+            samples = sample_frobenius(config, 1234, seed)
+            path = tmp_path / "draws.bin"
+            save_samples(samples, path)
+            assert path.stat().st_size == 32 + 8 * 1234
+            loaded = load_samples(path, config)
+            assert loaded.count == 1234
+            assert loaded.seed == seed
+            assert np.array_equal(loaded.values, samples.values)
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "junk.bin"

@@ -207,6 +207,21 @@ def test_db_list_feeds_outage_capacity():
         assert cap == pytest.approx(scalar, rel=1e-15)
 
 
+def test_snr_list_equals_array():
+    config = ChannelConfig((2, 7, 8, 4))
+    model = _model(config.dims)
+    scheme = ostbc_catalog(2)
+    snrs = [1.0, 10.0]
+    np.testing.assert_array_equal(outage_capacity(model, scheme, config, snrs, 0.05),
+                                  outage_capacity(model, scheme, config, np.array(snrs), 0.05))
+    np.testing.assert_array_equal(outage_probability(model, scheme, config, snrs, 1.0),
+                                  outage_probability(model, scheme, config, np.array(snrs), 1.0))
+    assert isinstance(outage_capacity(model, scheme, config, 10.0, 0.05), float)
+    assert isinstance(outage_probability(model, scheme, config, 10.0, 1.0), float)
+    with pytest.raises(ParameterError):
+        outage_probability(model, scheme, config, [1.0, 0.0], 1.0)
+
+
 def test_normalized_mean_is_one():
     # Y = X / (K0 * N) has unit mean for every configuration
     rng = np.random.default_rng(30)
