@@ -70,7 +70,8 @@ figures and column schema (long format: one row per curve point):
         curve_id, snr_db, outage_capacity_nats_per_s_hz.
 with --bits the capacity columns are converted to bits/s/Hz and renamed.
 Monte-Carlo curve k uses seed (base seed + k); the base seed comes from
---seed or the RAYPROD_SEED environment variable (default 0).
+--seed or the RAYPROD_SEED environment variable (default 0), and every
+seed + k must stay below 2**64.
 """
 
 
@@ -294,6 +295,14 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_reproduce(args) -> int:
     seed = _resolve_seed(args.seed)
+    curves = {"fig2": len(_FIG2_FAMILIES), "fig3": len(_FIG3_CLUSTERS),
+              "fig4": len(_FIG4_SCHEMES)}[args.figure]
+    largest = 2**64 - curves
+    if not 0 <= seed <= largest:  # checked before any fit or draw
+        raise ParameterError(
+            f"seed must be an integer in [0, {largest}] for {args.figure}, which "
+            f"draws with seeds seed .. seed + {curves - 1}; got {seed}"
+        )
     unit, factor = _capacity_header(args)
     rows: list[list] = []
     mc_index = 0

@@ -6,8 +6,9 @@ time by one plain-Python loop, :func:`_reg_lower_gamma`), ``(alpha, beta)``
 matched to the first two moments, and ``eps`` a finite correction series
 driven by moments three and up.  :func:`fit` folds the whole series into
 one incomplete Gamma at the top shape plus a polynomial (see
-:func:`_raw_cdf`), so a CDF point costs one prefactor, one Horner pass and
-one incomplete-Gamma loop.  Matching forces the first- and
+:func:`_raw_cdf`) and stores the prefactor's per-shape constants, so a CDF
+point costs one prefactor (two :mod:`math` scalar calls), one Horner pass
+and one incomplete-Gamma loop.  Matching forces the first- and
 second-order correction weights to vanish; for a single-factor channel
 (n = 1) every correction weight vanishes and the model is the exact
 distribution of X.
@@ -66,8 +67,9 @@ class GammaLaguerreModel:
     the textbook correction weights, are the well-conditioned quantities
     the basis weights come from.
     ``top``, ``total``, ``horner`` and ``poch_top`` are the folded series
-    :func:`_raw_cdf` evaluates, and ``peak_max[i]`` the largest raw value at
-    the interior peaks ``peak_x[:i + 1]``.
+    :func:`_raw_cdf` evaluates, ``shape_terms`` the constants of its
+    prefactor (:func:`_shape_terms` at ``alpha``), and ``peak_max[i]`` the
+    largest raw value at the interior peaks ``peak_x[:i + 1]``.
     """
 
     alpha: float
@@ -80,6 +82,7 @@ class GammaLaguerreModel:
     total: float
     horner: tuple[float, ...]
     poch_top: float
+    shape_terms: tuple[float, float, float]
     peak_x: tuple[float, ...] = ()
     peak_max: tuple[float, ...] = ()
 
@@ -100,33 +103,38 @@ class GammaLaguerreModel:
         return cdf_inverse(self, p)
 
 
-def _stirling_remainder(a: float) -> float:
-    r = 1.0 / (a * a)
-    acc = 0.0
-    for c in reversed(_STIRLING):
-        acc = acc * r + c
-    return acc / a
+def _shape_terms(a: float) -> tuple[float, float, float]:
+    """The constants :func:`_prefactor` needs at shape ``a``: ``lgamma(a)``,
+    ``log(a) / 2`` and the Stirling remainder (0 below the Stirling switch)."""
+    remainder = 0.0
+    if a >= _STIRLING_MIN_A:
+        r = 1.0 / (a * a)
+        for c in reversed(_STIRLING):
+            remainder = remainder * r + c
+        remainder /= a
+    return math.lgamma(a), 0.5 * math.log(a), remainder
 
 
-def _prefactor(a: float, u: float) -> float:
+def _prefactor(a: float, u: float, terms: tuple[float, float, float]) -> float:
     """``u**a * exp(-u) / Gamma(a)`` for ``a > 0``, zero unless ``0 < u < inf``.
 
+    ``terms`` is :func:`_shape_terms` at ``a``, computed once per model.
     Near the peak of a large shape, the log ``a log u - u - lgamma(a)``
     cancels terms of size ``a log a``; there the Stirling form keeps only the
     small difference ``a (log1p(x) - x)`` with ``x = (u - a) / a``.  The
-    ``exp`` and logs are numpy's: :mod:`math` rounds some differently, and
-    ``exp`` of a log of size 200 turns that one ulp into a hundred in ``P``,
-    so a switch would move the model's outputs.
+    ``exp`` and logs are :mod:`math`'s, which skip numpy's per-call dispatch
+    on a float; they round a few values an ulp differently from numpy's.
     """
     if not 0.0 < u < math.inf:
         return 0.0
+    lgamma_a, half_log_a, remainder = terms
     x = (u - a) / a
     if a >= _STIRLING_MIN_A and abs(x) <= 0.5:
-        log_scale = (a * (float(np.log1p(x)) - x) + 0.5 * math.log(a) - _HALF_LOG_2PI
-                     - _stirling_remainder(a))
+        log_scale = (a * (math.log1p(x) - x) + half_log_a - _HALF_LOG_2PI
+                     - remainder)
     else:
-        log_scale = a * float(np.log(u)) - u - math.lgamma(a)
-    return float(np.exp(log_scale))
+        log_scale = a * math.log(u) - u - lgamma_a
+    return math.exp(log_scale)
 
 
 def _reg_lower_gamma(a: float, u: float, scale: float) -> float:
@@ -143,10 +151,11 @@ def _reg_lower_gamma(a: float, u: float, scale: float) -> float:
         return 0.0
     if u == math.inf:
         return 1.0
+    eps = _EPS
     if 0.0 < u < a + 1.0:
         ap = a
         term = total = 1.0 / a
-        while term > total * _EPS:
+        while term > total * eps:
             ap += 1.0
             term *= u / ap
             total += term
@@ -157,7 +166,7 @@ def _reg_lower_gamma(a: float, u: float, scale: float) -> float:
     h = d
     delta = 2.0
     i = 0
-    while abs(delta - 1.0) > _EPS:
+    while abs(delta - 1.0) > eps:
         i += 1
         an = -i * (i - a)
         b += 2.0
@@ -184,7 +193,7 @@ def _raw_cdf(model: GammaLaguerreModel, x: float) -> float:
     u = x / model.beta
     if u > _MAX:  # the clamp keeps u = inf (P = 1, zero prefactor) out of 0 * inf
         u = _MAX
-    pref = _prefactor(model.alpha, u)
+    pref = _prefactor(model.alpha, u, model.shape_terms)
     s = scale = 0.0
     if pref:  # where the prefactor underflows, u**top may overflow
         for c in model.horner:
@@ -287,6 +296,7 @@ def fit(moments: MomentSet) -> GammaLaguerreModel:
         total=total,
         horner=tuple(reversed(coeffs)),
         poch_top=poch,
+        shape_terms=_shape_terms(alpha),
     )
 
     # Interior stationary points of the raw CDF: positive real roots of the
@@ -346,9 +356,9 @@ def cdf_inverse(model: GammaLaguerreModel, p: float) -> float:
     if not _CDF_FLOOR < p < 1.0:
         raise ParameterError(f"the model quantile needs {_CDF_FLOOR:g} < p < 1, got {p}")
     tol = min(_INVERSE_TOL_P, _INVERSE_TOL_REL * p)
-    hi = model.mean + 10.0 * model.std
+    hi = float(model.mean + 10.0 * model.std)
     for _ in range(_MAX_BRACKET_DOUBLINGS):
-        if cdf(model, hi)[1] > p:
+        if _cdf_point(model, hi)[1] > p:
             break
         hi *= 2.0
     else:
@@ -361,7 +371,7 @@ def cdf_inverse(model: GammaLaguerreModel, p: float) -> float:
         if not lo < mid < hi:
             raise NumericError(f"cannot resolve the quantile at p={p}: the bracket "
                                f"[{lo:g}, {hi:g}] cannot shrink")
-        val = cdf(model, mid)[1]
+        val = _cdf_point(model, mid)[1]
         if abs(val - p) <= tol:
             return mid
         if val < p:

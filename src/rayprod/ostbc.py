@@ -90,8 +90,11 @@ def ostbc_catalog(k0: int) -> OstbcScheme:
     return OstbcScheme(k0, 4, 8)
 
 
-def _snr_denominator(scheme: OstbcScheme, config: ChannelConfig, gamma) -> float:
-    """Check the scheme against the channel and the SNR; return ``R * K0 * N``.
+def _snr_denominator(
+    scheme: OstbcScheme, config: ChannelConfig, gamma: np.ndarray
+) -> tuple[float, float]:
+    """Check the scheme against the channel and the SNR; return ``R`` and
+    ``R * K0 * N``.
 
     The post-decoder SNR is ``gamma * x / (R * K0 * N)``; every SNR <-> channel
     energy conversion in the package divides by this one denominator.
@@ -101,9 +104,11 @@ def _snr_denominator(scheme: OstbcScheme, config: ChannelConfig, gamma) -> float
             f"scheme is for {scheme.tx_antennas} transmit antennas but dims "
             f"start with {config.dims[0]}"
         )
-    if not np.all(gamma > 0):
+    # the method, not np.all: np.all's dispatch dominates on a 0-d array
+    if not (gamma > 0).all():
         raise ParameterError(f"transmit SNR must be positive, got {gamma}")
-    return float(scheme.rate) * config.dims[0] * config.normalization
+    r = float(scheme.rate)
+    return r, r * config.dims[0] * config.normalization
 
 
 def outage_probability(
@@ -121,11 +126,10 @@ def outage_probability(
     linear transmit SNR, a scalar or array-like.
     """
     gamma = np.asarray(gamma, dtype=float)
-    denominator = _snr_denominator(scheme, config, gamma)
+    r, denominator = _snr_denominator(scheme, config, gamma)
     z_arr = np.asarray(z, dtype=float)
     if np.any(z_arr < 0):
         raise ParameterError("rate z must be >= 0")
-    r = float(scheme.rate)
     # A rate too high for a finite threshold is certain outage: cdf(inf) = 1.
     with np.errstate(over="ignore"):
         threshold = denominator / gamma * np.expm1(z_arr / r)
@@ -146,7 +150,6 @@ def outage_capacity(
     or an array-like; the quantile is taken once for all SNRs.
     """
     gamma = np.asarray(gamma, dtype=float)
-    denominator = _snr_denominator(scheme, config, gamma)
-    r = float(scheme.rate)
+    r, denominator = _snr_denominator(scheme, config, gamma)
     out = r * np.log1p(gamma * dist.quantile(p) / denominator)
     return float(out) if np.ndim(out) == 0 else out

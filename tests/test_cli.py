@@ -225,6 +225,30 @@ class TestReproduce:
         assert len({c for c in curves if ";mc;" in c}) == 3
 
 
+    @pytest.mark.parametrize("figure,curves", [("fig2", 3), ("fig3", 4), ("fig4", 3)])
+    def test_seed_range(self, capsys, monkeypatch, tmp_path, figure, curves):
+        # curve k draws with seed + k, so the base seed stops at 2**64 - curves
+        largest = 2**64 - curves
+        for via_env in (False, True):
+            for seed, ok in ((largest, True), (largest + 1, False)):
+                out = tmp_path / f"{figure}_{seed}_{via_env}.csv"
+                argv = ["reproduce", "--figure", figure, "--samples", "200",
+                        "--out", str(out)]
+                if via_env:
+                    monkeypatch.setenv("RAYPROD_SEED", str(seed))
+                else:
+                    argv += ["--seed", str(seed)]
+                code, stdout, err = _run(capsys, argv)
+                monkeypatch.delenv("RAYPROD_SEED", raising=False)
+                if ok:
+                    assert code == 0 and err == "" and out.stat().st_size > 0
+                    continue
+                assert code == 2 and stdout == "" and not out.exists()
+                assert err.count("\n") == 1
+                assert err.startswith("rayprod: parameter error: seed")
+                assert f"[0, {largest}]" in err and err.rstrip().endswith(f"got {seed}")
+
+
 class TestErrorCodes:
     def test_parameter_error(self, capsys):
         code, _, err = _run(capsys, ["moments", "--dims", "2;3"])

@@ -20,7 +20,7 @@ from rayprod import (
     sample_frobenius,
 )
 from rayprod import gamma_laguerre
-from rayprod.gamma_laguerre import _prefactor, _reg_lower_gamma
+from rayprod.gamma_laguerre import _prefactor, _raw_cdf, _reg_lower_gamma, _shape_terms
 
 
 @pytest.fixture(scope="module")
@@ -87,7 +87,7 @@ def _points(a):
 
 
 def _p(a, u):
-    return _reg_lower_gamma(a, u, _prefactor(a, u))
+    return _reg_lower_gamma(a, u, _prefactor(a, u, _shape_terms(a)))
 
 
 def _reg_lower_gamma_on(a, u):
@@ -121,6 +121,30 @@ class TestRegLowerGamma:
         assert np.allclose(_reg_lower_gamma_on(1.0, u), -np.expm1(-u), rtol=1e-14, atol=0.0)
         # P(2, u) = 1 - (1 + u) exp(-u)
         assert np.max(np.abs(_reg_lower_gamma_on(2.0, u) - (1.0 - (1.0 + u) * np.exp(-u)))) <= 1e-15
+
+
+class TestShapeTerms:
+    @pytest.mark.parametrize("dims", [(2, 7, 8, 4), (4, 8, 4), (2, 12), (5, 9, 9),
+                                      (8, 16, 16)])
+    def test_stored_terms_equal_fresh_ones(self, dims, monkeypatch):
+        # alpha 2.9 and 8 sit below the Stirling switch at 10, alpha 24, 17.6
+        # and 51.2 above it; u runs over |u/alpha - 1| = 0.5 and either side
+        model = fit(moment_set(ChannelConfig(dims), 6))
+        a = model.alpha
+        assert (a >= 10.0) == (dims in [(2, 12), (5, 9, 9), (8, 16, 16)])
+        us = [f * a for f in (0.5, 1.0, 1.5)]
+        us += [math.nextafter(u, d) for u in us for d in (0.0, math.inf)]
+        us += [(0.5 - 1e-9) * a, (0.5 + 1e-9) * a, (1.5 - 1e-9) * a, (1.5 + 1e-9) * a]
+        stored = [_raw_cdf(model, u * model.beta) for u in us]
+
+        def fresh(shape, u, terms):
+            assert terms is model.shape_terms
+            return _prefactor(shape, u, _shape_terms(shape))
+
+        with monkeypatch.context() as patch:
+            patch.setattr(gamma_laguerre, "_prefactor", fresh)
+            assert [_raw_cdf(model, u * model.beta) for u in us] == stored
+        assert all(0.0 < v < 1.5 for v in stored)
 
 
 class TestSingleFactorExactness:

@@ -222,6 +222,19 @@ def test_snr_list_equals_array():
         outage_probability(model, scheme, config, [1.0, 0.0], 1.0)
 
 
+@pytest.mark.parametrize("gamma", [math.nan, 0.0, -1.0, [1.0, math.nan],
+                                   np.array([[1.0, 2.0], [0.0, 3.0]])])
+def test_snr_domain(gamma):
+    # every SNR must be positive; NaN fails the comparison, so it is refused too
+    config = ChannelConfig((2, 3))
+    model = _model(config.dims)
+    scheme = ostbc_catalog(2)
+    with pytest.raises(ParameterError, match="SNR must be positive"):
+        outage_probability(model, scheme, config, gamma, 1.0)
+    with pytest.raises(ParameterError, match="SNR must be positive"):
+        outage_capacity(model, scheme, config, gamma, 0.05)
+
+
 def test_normalized_mean_is_one():
     # Y = X / (K0 * N) has unit mean for every configuration
     rng = np.random.default_rng(30)
