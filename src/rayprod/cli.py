@@ -288,7 +288,7 @@ def _cmd_simulate(args) -> int:
         sys.stdout.write(json.dumps(summary, indent=1) + "\n")
     else:
         _emit(["statistic", "value"],
-              [[k, float(val)] for k, val in summary.items() if k != "dims"],
+              [[k, val] for k, val in summary.items() if k != "dims"],
               "csv", None)
     return 0
 

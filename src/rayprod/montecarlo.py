@@ -10,8 +10,11 @@ triangle: diagonal entry ``j`` is ``sqrt(Gamma(m - j, 1))``, the strict
 upper part is i.i.d. CN(0, 1), all independent of ``Q``.  By unitary
 invariance the next factor times ``Q`` is again Gaussian and independent
 of ``T``, so ``X`` has the law of ``||T_n ... T_1||_F**2`` with independent
-triangles ``T_i`` built with ``m = m_i``.  A draw costs ``O(n k**3)``,
-independent of the cluster sizes.
+triangles ``T_i`` built with ``m = m_i``.  The triangle chain costs
+``O(n k**3)`` per draw, but the Gamma diagonals read ``sum_i sum_{j<k} (m_i
+- j)`` uniforms, so a draw still grows with the cluster sizes: on a 2-core
+Xeon, 10^5 draws take about 0.1 / 0.3 / 4.3 s at (2,6,8,4) / (2,30,40,4) /
+(2,300,400,4).
 
 Reproducibility contract (sample file version 2)
 ------------------------------------------------

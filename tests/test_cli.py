@@ -182,6 +182,22 @@ class TestSimulate:
         assert code == 0
         assert json.loads(out)["seed"] == 2**64 - 1
 
+    def test_csv_matches_json(self, capsys):
+        base = ["simulate", "--dims", "2,3", "--samples", "10", "--seed", str(2**64 - 1)]
+        code, out, _ = _run(capsys, base + ["--format", "json"])
+        assert code == 0
+        summary = json.loads(out)
+        code, out, _ = _run(capsys, base)
+        assert code == 0
+        header, rows = _rows(out)
+        assert header == ["statistic", "value"]
+        table = dict(rows)
+        assert table["count"] == str(summary["count"]) == "10"
+        assert table["seed"] == str(summary["seed"]) == str(2**64 - 1)
+        assert list(table) == [k for k in summary if k != "dims"]
+        for key in table.keys() - {"count", "seed"}:
+            assert table[key] == repr(summary[key]), key
+
 
 class TestReproduce:
     def test_fig3_bundle(self, capsys, tmp_path):

@@ -1,6 +1,7 @@
-import functools
+import inspect
 import itertools
 import math
+import sys
 import warnings
 from fractions import Fraction
 
@@ -20,11 +21,7 @@ from rayprod import (
     mgf_moments,
     moment_set,
 )
-from rayprod.moments import (
-    _compositions,
-    _exact_moment_rational,
-    composition_count,
-)
+from rayprod.moments import _exact_moment_rational, composition_count
 
 
 class TestChannelConfig:
@@ -40,42 +37,6 @@ class TestChannelConfig:
             ChannelConfig((3,))
         with pytest.raises(ParameterError):
             ChannelConfig((2, 0))
-
-
-class TestCompositions:
-    def test_count_matches_binomial(self):
-        for m in range(0, 7):
-            for k in range(1, 6):
-                comps = _compositions(m, k)
-                assert comps.shape == (composition_count(m, k), k)
-                assert np.all(comps.sum(axis=1) == m)
-
-    def test_lexicographic_order(self):
-        comps = [tuple(row) for row in _compositions(4, 3).tolist()]
-        assert comps == sorted(comps)
-
-    def test_matches_recursive_table(self):
-        # the memoized first-part recursion the table was once built with
-        @functools.lru_cache(maxsize=None)
-        def recursive(m, k):
-            if k == 1:
-                return np.array([[m]], dtype=np.int64)
-            blocks = []
-            for first in range(m + 1):
-                rest = recursive(m - first, k - 1)
-                block = np.empty((rest.shape[0], k), dtype=np.int64)
-                block[:, 0] = first
-                block[:, 1:] = rest
-                blocks.append(block)
-            return np.vstack(blocks)
-
-        for m in range(0, 13):
-            for k in range(1, 9):
-                if composition_count(m, k) > 20_000:
-                    continue
-                got = _compositions(m, k)
-                assert got.dtype == np.int64
-                assert np.array_equal(got, recursive(m, k)), (m, k)
 
 
 class TestExactMoment:
@@ -119,6 +80,26 @@ class TestExactMoment:
             exact_moment(ChannelConfig((2, 3)), 13)
         with pytest.raises(ParameterError):
             exact_moment(ChannelConfig((2, 3)), 0)
+
+    def test_composition_cap(self):
+        # 40,920 and 50,388 compositions are under the 60,000 cap
+        c = ChannelConfig((30, 30))
+        assert composition_count(4, 30) == 40_920
+        assert [exact_moment(c, m) for m in range(1, 5)] == mgf_moments(c, 4)[1:]
+        c = ChannelConfig((8, 8, 8))
+        assert composition_count(12, 8) == 50_388
+        assert exact_moment(c, 12) == mgf_moments(c, 12)[12]
+        with pytest.raises(ResourceError, match="278256 compositions.*mgf_moments"):
+            exact_moment(ChannelConfig((30, 30)), 5)
+
+    def test_wide_k0_needs_no_recursion(self):
+        # the walk keeps its own stack, so K0 = 200 runs under a tight limit
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(len(inspect.stack()) + 40)
+        try:
+            assert exact_moment(ChannelConfig((200, 200)), 1) == 40000.0
+        finally:
+            sys.setrecursionlimit(limit)
 
 
 class TestClosedFormMoment:
