@@ -1,9 +1,10 @@
 """Moments of the product-channel energy X = ||H_n ... H_1||_F^2.
 
 Three independent routes compute E[X^m]: the exact partition sum, the
-closed products for m <= 3, and the coefficient extraction from the MGF
-determinant.  All three are exact, so they agree bit for bit, and the cheap
-leading-order term takes over as the number of clusters grows.
+character sum over the partitions of m (the closed form, m <= 12), and the
+coefficient extraction from the MGF determinant.  All three are exact, so
+they agree bit for bit, and the cheap leading-order term takes over as the
+number of clusters grows.
 """
 
 import rayprod as rp
@@ -13,8 +14,8 @@ print(f"channel dims {config} (transmit, cluster, receive)")
 print(f"{'m':>2} {'exact':>16} {'closed form':>16} {'mgf series':>16} {'leading order':>16}")
 mgf = rp.mgf_moments(config, 6)
 for m in range(1, 7):
-    closed = f"{rp.closed_form_moment(config, m):16.6g}" if m <= 3 else " " * 16
-    print(f"{m:>2} {rp.exact_moment(config, m):16.6g} {closed} "
+    print(f"{m:>2} {rp.exact_moment(config, m):16.6g} "
+          f"{rp.closed_form_moment(config, m):16.6g} "
           f"{mgf[m]:16.6g} {rp.leading_order_moment(config, m):16.6g}")
 
 print("\nThe eigenvalue law only depends on the multiset of dimensions,")
@@ -29,8 +30,8 @@ for clusters in range(2, 6):
     ratio = rp.exact_moment(c, 4) / rp.leading_order_moment(c, 4)
     print(f"  {str(c):>16}: exact / leading = {ratio:.4f}")
 print("the ratio approaches one monotonically, but the cheap term is never")
-print("fitted: moment_set takes exact MGF moments only, up to order 12, and the")
-print("partition sum cross-checks them:")
+print("fitted: moment_set takes the exact character sum only, up to order 12,")
+print("and the partition sum cross-checks it:")
 ms = rp.moment_set(config, 6)
 same = all(v == rp.exact_moment(config, m) for m, v in enumerate(ms.values, start=1))
 print(f"  dims {config}: equal to the partition sum: {same}")

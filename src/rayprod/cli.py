@@ -196,10 +196,14 @@ def _cmd_moments(args) -> int:
     if q < 1:
         raise ParameterError(f"--q must be >= 1, got {q}")
     config = _parse_dims(args.dims)
-    mgf_vals = mgf_moments(config, min(q, _MAX_ORDER))  # one expansion up to the order guard
     # taken first, so a leading-order moment past the float range fails
-    # before any per-order diagnostic is printed
+    # before any diagnostic is printed
     leading = [leading_order_moment(config, m) for m in range(1, q + 1)]
+    mgf_vals = []
+    try:
+        mgf_vals = mgf_moments(config, min(q, _MAX_ORDER))  # one expansion up to the order guard
+    except ResourceError as exc:
+        print(f"mgf: {exc}", file=sys.stderr)
     rows = []
     for m in range(1, q + 1):
         exact_val = None
@@ -207,7 +211,7 @@ def _cmd_moments(args) -> int:
             exact_val = exact_moment(config, m)
         except ResourceError as exc:
             print(f"m={m}: {exc}", file=sys.stderr)
-        closed = closed_form_moment(config, m) if m <= 3 else None
+        closed = closed_form_moment(config, m) if m <= _MAX_ORDER else None
         mgf_val = mgf_vals[m] if m < len(mgf_vals) else None
         rows.append([m, exact_val, closed, mgf_val, leading[m - 1]])
     _emit(

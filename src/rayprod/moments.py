@@ -3,24 +3,26 @@
 Three independent routes are implemented and cross-checked in the test
 suite:
 
+* :func:`closed_form_moment` evaluates the character sum over the partitions
+  of ``m`` in 1..12 (Macdonald, *Symmetric Functions and Hall Polynomials*,
+  ch. I and VII) in integers, at a cost that does not grow with ``K_min``.
+  It is the route :func:`moment_set`, and so every fitted model, takes.
 * :func:`mgf_moments` expands the moment generating function, a determinant
   of truncated power series with integer coefficients, and reads the
   moments off its ``s**m`` coefficients.  The determinant is computed by
-  fraction-free elimination over the series, in exact integers.  It is the
-  route :func:`moment_set`, and so every fitted model, takes.
+  fraction-free elimination over the series, in exact integers.
 * :func:`exact_moment` sums the partition-sum representation over the weak
   compositions ``a_1 + ... + a_K0 = m``.  Every term carries a sign from the
   integer product ``prod_{i<j} ((a_j + j) - (a_i + i))`` and a ratio of
   factorials.  A walk fills the parts column by column and drops a branch
   once two positions ``a_j + j`` repeat, where that product is 0.  The sum
   is exact rational, up to 60,000 compositions.
-* :func:`closed_form_moment` evaluates the closed products known for
-  ``m = 1, 2, 3``.
 
-Both exact routes round each moment once, so they agree bit for bit.
-:func:`leading_order_moment` provides the dominant term ``prod_i (K_i)_m /
-m!``, exact in the limit of many clusters; it is tabulated next to the exact
-moments and never fitted.
+All three round each exact moment once, so they agree bit for bit.  The two
+cross-checks cost more as ``K_min`` grows and refuse ``K_min`` above 200
+(partition sum) and 36 (MGF).  :func:`leading_order_moment` provides the
+dominant term ``prod_i (K_i)_m / m!``, exact in the limit of many clusters;
+it is tabulated next to the exact moments and never fitted.
 """
 
 from __future__ import annotations
@@ -45,6 +47,9 @@ __all__ = [
 
 _MAX_ORDER = 12
 _RATIONAL_TERM_CAP = 60_000  # the partition sum's composition count limit
+# K_min bounds of the two cross-check routes: the slowest call each allows,
+# (200,)*4 at m = 2 or (36,1000,1000) at m = 12, takes about 2 s (2-core Xeon)
+_K_MIN_BOUND = {"exact_moment": 200, "mgf_moments": 36}
 
 
 @dataclass(frozen=True)
@@ -80,11 +85,17 @@ def composition_count(m: int, k0: int) -> int:
     return math.comb(m + k0 - 1, k0 - 1)
 
 
-def _order_guard(route: str, m: int) -> None:
+def _order_guard(route: str, m: int, k_min: int = 1) -> None:
     if m > _MAX_ORDER:
         raise ResourceError(
             f"{route} order guard (m <= {_MAX_ORDER}) exceeded for m={m}; "
             "use leading_order_moment instead"
+        )
+    bound = _K_MIN_BOUND.get(route, k_min)
+    if k_min > bound:
+        raise ResourceError(
+            f"{route} K_min guard (K_min <= {bound}) exceeded for K_min={k_min}; "
+            "use closed_form_moment instead"
         )
 
 
@@ -136,13 +147,14 @@ def exact_moment(config: ChannelConfig, m: int) -> float:
 
     The sum runs in exact rational arithmetic and is rounded once.  Raises
     :class:`ResourceError` above the ``m <= 12`` order guard (suggesting
-    :func:`leading_order_moment`) and above 60,000 compositions (suggesting
-    :func:`mgf_moments`, which is exact at any ``K_min``).
+    :func:`leading_order_moment`), above ``K_min = 200`` (suggesting
+    :func:`closed_form_moment`) and above 60,000 compositions (suggesting
+    :func:`mgf_moments`).
     """
     m = int(m)
     if m < 1:
         raise ParameterError(f"moment order must be >= 1, got {m}")
-    _order_guard("exact_moment", m)
+    _order_guard("exact_moment", m, config.k_min)
     count = composition_count(m, config.k_min)
     if count > _RATIONAL_TERM_CAP:
         raise ResourceError(
@@ -153,24 +165,40 @@ def exact_moment(config: ChannelConfig, m: int) -> float:
     return _to_float(_exact_moment_rational(config.canonical_dims, m), config, m)
 
 
+@functools.cache
+def _partition_table(m: int) -> tuple[tuple[int, int, int, tuple[int, ...]], ...]:
+    """``(f^lambda, H_lambda, rows, box contents c - r)`` for each partition of ``m``."""
+    table, stack = [], [((), m, m)]  # parts so far, what is left, the largest next part
+    while stack:
+        parts, left, top = stack.pop()
+        stack += [(parts + (p,), left - p, p) for p in range(1, min(left, top) + 1)]
+        if not left:
+            boxes = [(r, c) for r, p in enumerate(parts) for c in range(p)]
+            cols = [sum(p > c for p in parts) for c in range(parts[0])]
+            hook = math.prod(parts[r] - c + cols[c] - r - 1 for r, c in boxes)
+            table.append((math.factorial(m) // hook, hook, len(parts),
+                          tuple(c - r for r, c in boxes)))
+    return tuple(table)
+
+
 def closed_form_moment(config: ChannelConfig, m: int) -> float:
-    """First three moments as closed products over the dims."""
-    dims = config.dims
-    if m == 1:
-        return float(math.prod(dims))
-    if m == 2:
-        total = math.prod(dims) * (
-            math.prod(k + 1 for k in dims) + math.prod(k - 1 for k in dims)
-        )
-        return float(Fraction(total, 2))
-    if m == 3:
-        total = math.prod(dims) * (
-            math.prod((k + 2) * (k + 1) for k in dims)
-            + 4 * math.prod((k + 1) * (k - 1) for k in dims)
-            + math.prod((k - 1) * (k - 2) for k in dims)
-        )
-        return float(Fraction(total, 6))
-    raise ParameterError(f"closed_form_moment covers m in {{1, 2, 3}}, got {m}")
+    """``E[X^m] = sum_lambda f^lambda s_lambda(1^K0) prod_{i>=1} [K_i]_lambda``, m in 1..12.
+
+    The sum runs over the partitions ``lambda`` of ``m``, with ``[K]_lambda =
+    prod_boxes (K + c - r)`` and ``s_lambda(1^K0) = [K0]_lambda / H_lambda``,
+    so every term is an integer.  A partition with more rows than ``K_min``
+    has a zero factor and is skipped.
+    """
+    m = int(m)
+    if m < 1:
+        raise ParameterError(f"moment order must be >= 1, got {m}")
+    _order_guard("closed_form_moment", m)
+    total = 0
+    for f, hook, rows, contents in _partition_table(m):
+        if rows <= config.k_min:
+            brackets = (math.prod(k + c for c in contents) for k in config.dims)
+            total += f * math.prod(brackets) // hook
+    return _to_float(total, config, m)
 
 
 def _bareiss(rows: list[list[list[int]]], cap: int) -> list[int]:
@@ -235,12 +263,12 @@ def mgf_moments(config: ChannelConfig, max_m: int) -> list[float]:
     ``s**m`` coefficient.  The determinant is taken in exact integers, so
     each moment is an exact integer rounded once to a float and equals the
     rational partition sum wherever both run.  The cost grows like
-    ``K_min**3 max_m**2``, with no composition count in it.
+    ``K_min**3 max_m**2``, so ``K_min`` above 36 raises :class:`ResourceError`.
     """
     max_m = int(max_m)
     if max_m < 0:
         raise ParameterError(f"max_m must be >= 0, got {max_m}")
-    _order_guard("mgf_moments", max_m)
+    _order_guard("mgf_moments", max_m, config.k_min)
     coeffs = _mgf_coefficients(config.canonical_dims, max_m)
     return [_to_float(c * math.factorial(m), config, m) for m, c in enumerate(coeffs)]
 
@@ -258,15 +286,11 @@ def leading_order_moment(config: ChannelConfig, m: int) -> float:
 
 
 def moment_set(config: ChannelConfig, q: int) -> MomentSet:
-    """Exact moments ``m = 1 .. q`` from one :func:`mgf_moments` expansion.
-
-    The partition sum and the closed forms are the independent cross-checks
-    of the MGF route and are not used here.
-    """
+    """Exact moments ``m = 1 .. q`` from the character sum, :func:`closed_form_moment`."""
     q = int(q)
     if not 1 <= q <= _MAX_ORDER:
         raise ParameterError(
             f"q must be in 1..{_MAX_ORDER}, got {q}: "
             f"exact moments exist up to order {_MAX_ORDER}"
         )
-    return MomentSet(config, tuple(mgf_moments(config, q)[1:]))
+    return MomentSet(config, tuple(closed_form_moment(config, m) for m in range(1, q + 1)))

@@ -2,6 +2,7 @@ import inspect
 import itertools
 import math
 import sys
+import time
 import warnings
 from fractions import Fraction
 
@@ -92,6 +93,13 @@ class TestExactMoment:
         with pytest.raises(ResourceError, match="278256 compositions.*mgf_moments"):
             exact_moment(ChannelConfig((30, 30)), 5)
 
+    def test_k_min_bound(self):
+        # (201,)*4 at m = 2 would take about 2 s; the guard refuses it at once
+        start = time.perf_counter()
+        with pytest.raises(ResourceError, match=r"K_min <= 200\).*closed_form_moment"):
+            exact_moment(ChannelConfig((201,) * 4), 2)
+        assert time.perf_counter() - start < 0.5
+
     def test_wide_k0_needs_no_recursion(self):
         # the walk keeps its own stack, so K0 = 200 runs under a tight limit
         limit = sys.getrecursionlimit()
@@ -109,8 +117,8 @@ class TestClosedFormMoment:
         assert closed_form_moment(ChannelConfig((2, 3, 4)), 3) == 34560.0
 
     def test_out_of_range(self):
-        with pytest.raises(ParameterError):
-            closed_form_moment(ChannelConfig((2, 3)), 4)
+        with pytest.raises(ResourceError, match="order guard"):
+            closed_form_moment(ChannelConfig((2, 3)), 13)
 
     def test_matches_exact(self):
         rng = np.random.default_rng(11)
@@ -143,6 +151,14 @@ class TestMgfMoment:
             mgf_moments(ChannelConfig((2, 3)), 13)
         c = ChannelConfig((9, 9))
         assert mgf_moments(c, 2)[2] == exact_moment(c, 2)
+
+    def test_k_min_bound(self):
+        # (37, 1000, 1000) at m = 12 would take about 2 s; the guard refuses it at once
+        assert mgf_moments(ChannelConfig((36, 36)), 1)[1] == 1296.0
+        start = time.perf_counter()
+        with pytest.raises(ResourceError, match=r"K_min <= 36\).*closed_form_moment"):
+            mgf_moments(ChannelConfig((37, 1000, 1000)), 12)
+        assert time.perf_counter() - start < 0.5
 
     def test_float_range(self):
         # E[X^12] is about 1e324 for these dims; both exact routes say so
@@ -215,8 +231,8 @@ class TestMomentSet:
             exact_moment(c, 13)
 
     def test_large_single_factor_is_exact_gamma(self):
-        # above the partition sum's cap the MGF route still gives (k^2)_m
-        for k in (17, 20, 30):
+        # above the partition sum's cap the character sum still gives (k^2)_m
+        for k in (17, 20, 30, 100):
             c = ChannelConfig((k, k))
             ms = moment_set(c, 6)
             assert ms.values == tuple(
@@ -232,20 +248,22 @@ class TestMomentSet:
         ms = moment_set(c, 8)
         assert ms.values == tuple(mgf_moments(c, 8)[1:])
 
-    def test_reads_only_the_mgf_route(self, monkeypatch):
+    def test_reads_only_the_character_sum(self, monkeypatch):
         import rayprod.moments as moments
 
         c = ChannelConfig((2, 7, 8, 4))
-        closed = tuple(closed_form_moment(c, m) for m in range(1, 4))
+        mgf = tuple(mgf_moments(c, 6)[1:])
 
         def refuse(*args):
-            raise AssertionError("moment_set left the MGF route")
+            raise AssertionError("moment_set left the character sum")
 
-        for name in ("exact_moment", "_exact_moment_rational", "composition_count",
-                     "closed_form_moment"):
+        for name in ("mgf_moments", "_mgf_coefficients", "_bareiss", "exact_moment",
+                     "_exact_moment_rational", "composition_count"):
             monkeypatch.setattr(moments, name, refuse)
+        moments._partition_table.cache_clear()
         ms = moment_set(c, 6)
-        assert ms.values[:3] == closed
+        assert ms.values == mgf
+        assert moments._partition_table.cache_info().currsize == 6
 
     def test_moments_increase_and_are_log_convex(self):
         rng = np.random.default_rng(12)

@@ -7,13 +7,15 @@ reproducible and a failure names the dims that produced it.
 """
 
 import warnings
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rayprod import ChannelConfig, cdf, cdf_inverse, fit, mgf_moments, moment_set
-from rayprod.moments import _exact_moment_rational
+import rayprod.moments as moments
+from rayprod import (ChannelConfig, cdf, cdf_inverse, closed_form_moment, fit, mgf_moments,
+                     moment_set)
 from rayprod.montecarlo import _frobenius_values
 
 
@@ -53,13 +55,20 @@ def test_quantile_round_trip(dims, p):
 
 
 @settings(derandomize=True, database=None, max_examples=100, deadline=None)
-@given(dims=_dims(6))
-def test_mgf_moments_equal_the_rational_partition_sum(dims):
+@given(dims=_dims(6), data=st.data())
+def test_mgf_moments_equal_the_rational_partition_sum(dims, data):
     c = ChannelConfig(dims)
+    shuffled = ChannelConfig(tuple(data.draw(st.permutations(dims))))
     batch = mgf_moments(c, 12)
     assert batch[0] == 1.0
-    for m in range(1, 13):
-        assert batch[m] == float(_exact_moment_rational(c.canonical_dims, m)), (dims, m)
+    # the three routes as exact integers, before their one rounding
+    with mock.patch.object(moments, "_to_float", lambda value, config, m: value):
+        exact = mgf_moments(c, 12)
+        for m in range(1, 13):
+            assert batch[m] == float(exact[m])
+            assert exact[m] == moments._exact_moment_rational(c.canonical_dims, m), (dims, m)
+            assert exact[m] == closed_form_moment(c, m) == closed_form_moment(shuffled, m), (
+                dims, shuffled.dims, m)
 
 
 @settings(derandomize=True, database=None, max_examples=50, deadline=None)
