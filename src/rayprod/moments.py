@@ -12,11 +12,11 @@ suite:
   moments off its ``s**m`` coefficients.  The determinant is computed by
   fraction-free elimination over the series, in exact integers.
 * :func:`exact_moment` sums the partition-sum representation over the weak
-  compositions ``a_1 + ... + a_K0 = m``.  Every term carries a sign from the
-  integer product ``prod_{i<j} ((a_j + j) - (a_i + i))`` and a ratio of
-  factorials.  A walk fills the parts column by column and drops a branch
-  once two positions ``a_j + j`` repeat, where that product is 0.  The sum
-  is exact rational, up to 60,000 compositions.
+  compositions ``a_1 + ... + a_K0 = m``.  Each term is an integer: the signed
+  product ``prod_{i<j} ((a_j + j) - (a_i + i))`` times rising factorials and
+  ``m! / prod_j a_j!``.  A walk fills the parts column by column and drops a
+  branch once two positions ``a_j + j`` repeat, where that product is 0.  One
+  exact division ends the sum, up to 60,000 compositions.
 
 All three round each exact moment once, so they agree bit for bit.  The two
 cross-checks cost more as ``K_min`` grows and refuse ``K_min`` above 200
@@ -30,7 +30,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .channel import ChannelConfig
 from .errors import NumericError, ParameterError, ResourceError
@@ -46,9 +45,9 @@ __all__ = [
 ]
 
 _MAX_ORDER = 12
-_RATIONAL_TERM_CAP = 60_000  # the partition sum's composition count limit
-# K_min bounds of the two cross-check routes: the slowest call each allows,
-# (200,)*4 at m = 2 or (36,1000,1000) at m = 12, takes about 2 s (2-core Xeon)
+_COMPOSITION_CAP = 60_000  # the partition sum's composition count limit
+# K_min bounds of the two cross-check routes: the slowest call each allows takes
+# about 0.1 s for (200,)*4 at m = 2 and 2 s for (36,1000,1000) at m = 12 (2-core Xeon)
 _K_MIN_BOUND = {"exact_moment": 200, "mgf_moments": 36}
 
 
@@ -99,7 +98,7 @@ def _order_guard(route: str, m: int, k_min: int = 1) -> None:
         )
 
 
-def _to_float(value: int | Fraction, config: ChannelConfig, m: int) -> float:
+def _to_float(value: int, config: ChannelConfig, m: int) -> float:
     """An exact moment rounded once; :class:`NumericError` past the float range."""
     try:
         return float(value)
@@ -110,59 +109,54 @@ def _to_float(value: int | Fraction, config: ChannelConfig, m: int) -> float:
 
 
 @functools.lru_cache(maxsize=None)
-def _exact_moment_rational(cdims: tuple[int, ...], m: int) -> Fraction:
-    """Partition sum in exact rational arithmetic (canonical dims)."""
+def _partition_sum(cdims: tuple[int, ...], m: int) -> int:
+    """Partition sum in exact integers (canonical dims): column ``j = 1..K0``
+    with part ``a`` contributes ``prod_{i>=1} (j+nu_i)_a`` and ``C(left, a)``,
+    and one exact division by ``prod_j (j-1)!`` ends the sum."""
     k0 = cdims[0]
-    n = len(cdims) - 1
-    nu = [k - k0 for k in cdims]
-    fact = functools.cache(math.factorial)  # only the factorials near each nu_i
-    # Per-(column, part) factor tables: numerator and denominator integers.
-    numf = [[math.prod(fact(j + a + nu[i] - 1) for i in range(1, n + 1))
-             for a in range(m + 1)] for j in range(1, k0 + 1)]
-    denf = [[fact(a) * math.prod(fact(j + nu[i] - 1) for i in range(2, n + 1))
+    nu = [k - k0 for k in cdims[1:]]
+    # rise[j][a] = prod_{i>=1} (j+1+nu_i)_a, the rising factorials of column j+1
+    rise = [[math.prod(math.prod(range(j + v, j + v + a)) for v in nu)
              for a in range(m + 1)] for j in range(1, k0 + 1)]
     # Column j puts part a at position a + j; a repeated position makes the
     # Vandermonde factor 0, so that branch is dropped.  The stack is explicit
     # so that K0 in the thousands stays clear of the recursion limit.
-    total = Fraction(0)
-    stack = [((), m, 1, 1)]
+    total = 0
+    stack = [((), m, 1)]
     while stack:
-        pos, left, num, den = stack.pop()
+        pos, left, term = stack.pop()
         j = len(pos)
         if j == k0:
-            total += Fraction(num, den)
+            total += term
             continue
         for a in (left,) if j == k0 - 1 else range(left + 1):
             p = a + j
             if p not in pos:
-                stack.append((pos + (p,), left - a,
-                              num * math.prod(p - q for q in pos) * numf[j][a],
-                              den * denf[j][a]))
-    norm = math.prod(fact(j - 1) * fact(j + nu[1] - 1) for j in range(1, k0 + 1))
-    return total * fact(m) / norm
+                stack.append((pos + (p,), left - a, term * math.prod(p - q for q in pos)
+                              * rise[j][a] * math.comb(left, a)))
+    return total // math.prod(math.factorial(j) for j in range(k0))
 
 
 def exact_moment(config: ChannelConfig, m: int) -> float:
     """``E[X^m]`` by enumerating the partition sum over weak compositions.
 
-    The sum runs in exact rational arithmetic and is rounded once.  Raises
+    The sum runs in exact integers and is rounded once.  Raises
     :class:`ResourceError` above the ``m <= 12`` order guard (suggesting
-    :func:`leading_order_moment`), above ``K_min = 200`` (suggesting
-    :func:`closed_form_moment`) and above 60,000 compositions (suggesting
-    :func:`mgf_moments`).
+    :func:`leading_order_moment`), and above ``K_min = 200`` or 60,000
+    compositions (suggesting :func:`closed_form_moment`).
     """
     m = int(m)
     if m < 1:
         raise ParameterError(f"moment order must be >= 1, got {m}")
     _order_guard("exact_moment", m, config.k_min)
     count = composition_count(m, config.k_min)
-    if count > _RATIONAL_TERM_CAP:
+    if count > _COMPOSITION_CAP:
         raise ResourceError(
             f"partition sum guard: {count} compositions exceed "
-            f"{_RATIONAL_TERM_CAP} for dims {config.dims}, m={m}; "
-            "use mgf_moments instead"
+            f"{_COMPOSITION_CAP} for dims {config.dims}, m={m}; "
+            "use closed_form_moment instead"
         )
-    return _to_float(_exact_moment_rational(config.canonical_dims, m), config, m)
+    return _to_float(_partition_sum(config.canonical_dims, m), config, m)
 
 
 @functools.cache
@@ -262,7 +256,7 @@ def mgf_moments(config: ChannelConfig, max_m: int) -> list[float]:
     K_min`` determinant of power series, and ``E[X^m]`` is ``m!`` times its
     ``s**m`` coefficient.  The determinant is taken in exact integers, so
     each moment is an exact integer rounded once to a float and equals the
-    rational partition sum wherever both run.  The cost grows like
+    integer partition sum wherever both run.  The cost grows like
     ``K_min**3 max_m**2``, so ``K_min`` above 36 raises :class:`ResourceError`.
     """
     max_m = int(max_m)

@@ -22,7 +22,7 @@ from rayprod import (
     mgf_moments,
     moment_set,
 )
-from rayprod.moments import _exact_moment_rational, composition_count
+from rayprod.moments import _partition_sum, composition_count
 
 
 class TestChannelConfig:
@@ -70,11 +70,17 @@ class TestExactMoment:
                 np.testing.assert_allclose(got, base, rtol=1e-9)
 
     def test_large_dim_matches_other_routes(self):
-        # only the factorials near each dim are built, so a dim of 5000 is cheap
-        c = ChannelConfig((1, 5000))
-        mgf = mgf_moments(c, 3)
-        for m in range(1, 4):
-            assert exact_moment(c, m) == closed_form_moment(c, m) == mgf[m]
+        # every term is a product of small integers, so neither a dim of 5000
+        # nor a wide gap between the dims is costly
+        for dims, top in [((1, 5000), 3), ((8, 1000, 1000), 12)]:
+            c = ChannelConfig(dims)
+            mgf = mgf_moments(c, top)
+            for m in range(1, top + 1):
+                assert exact_moment(c, m) == closed_form_moment(c, m) == mgf[m]
+        for dims, top in [((200, 2000), 2), ((36, 2000, 2000), 3)]:
+            c = ChannelConfig(dims)
+            for m in range(1, top + 1):
+                assert exact_moment(c, m) == closed_form_moment(c, m)
 
     def test_guards(self):
         with pytest.raises(ResourceError):
@@ -90,11 +96,11 @@ class TestExactMoment:
         c = ChannelConfig((8, 8, 8))
         assert composition_count(12, 8) == 50_388
         assert exact_moment(c, 12) == mgf_moments(c, 12)[12]
-        with pytest.raises(ResourceError, match="278256 compositions.*mgf_moments"):
+        with pytest.raises(ResourceError, match="278256 compositions.*closed_form_moment"):
             exact_moment(ChannelConfig((30, 30)), 5)
 
     def test_k_min_bound(self):
-        # (201,)*4 at m = 2 would take about 2 s; the guard refuses it at once
+        # (201,)*4 at m = 2 would take about 0.1 s; the guard refuses it at once
         start = time.perf_counter()
         with pytest.raises(ResourceError, match=r"K_min <= 200\).*closed_form_moment"):
             exact_moment(ChannelConfig((201,) * 4), 2)
@@ -258,7 +264,7 @@ class TestMomentSet:
             raise AssertionError("moment_set left the character sum")
 
         for name in ("mgf_moments", "_mgf_coefficients", "_bareiss", "exact_moment",
-                     "_exact_moment_rational", "composition_count"):
+                     "_partition_sum", "composition_count"):
             monkeypatch.setattr(moments, name, refuse)
         moments._partition_table.cache_clear()
         ms = moment_set(c, 6)
@@ -296,11 +302,11 @@ def test_rational_oracle_small_cases():
     # independent oracle: expand E[(sum lambda)^m] via the known n=1 law and
     # the closed second/third moments, all in exact arithmetic
     c = ChannelConfig((3, 2, 4))
-    assert _exact_moment_rational(c.canonical_dims, 1) == Fraction(24)
-    assert _exact_moment_rational(c.canonical_dims, 2) == Fraction(792)
-    assert _exact_moment_rational(c.canonical_dims, 3) == Fraction(34560)
+    assert _partition_sum(c.canonical_dims, 1) == Fraction(24)
+    assert _partition_sum(c.canonical_dims, 2) == Fraction(792)
+    assert _partition_sum(c.canonical_dims, 3) == Fraction(34560)
     c2 = ChannelConfig((4, 5))
     for m in range(1, 7):
-        assert _exact_moment_rational(c2.canonical_dims, m) == Fraction(
+        assert _partition_sum(c2.canonical_dims, m) == Fraction(
             math.prod(range(20, 20 + m))
         )
