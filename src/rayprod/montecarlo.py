@@ -14,7 +14,8 @@ triangles ``T_i`` built with ``m = m_i``.  The triangle chain costs
 ``O(n k**3)`` per draw, but the Gamma diagonals read ``sum_i sum_{j<k} (m_i
 - j)`` uniforms, so a draw still grows with the cluster sizes: on a 2-core
 Xeon, 10^5 draws take about 0.1 / 0.3 / 4.3 s at (2,6,8,4) / (2,30,40,4) /
-(2,300,400,4).
+(2,300,400,4).  ``rayleigh_limit_distance`` takes its cluster layers from
+the same chain, as the matrix ``T_n ... T_1`` in place of its norm.
 
 Reproducibility contract (sample file version 2)
 ------------------------------------------------
@@ -179,36 +180,16 @@ def _uniform_rows(
     return buf.reshape(count, d4)[:, :doubles]
 
 
-def _triangle_chain_norm(diag: np.ndarray, upper: np.ndarray) -> np.ndarray:
-    """``||T_n ... T_1||_F**2`` for batches of upper-triangular factors.
+def _triangle_chains(config: ChannelConfig, start: int, stop: int, seed: int):
+    """Chains ``sqrt(2)**n T_n ... T_1`` for sample indices ``[start, stop)``.
 
-    ``diag[i, j]`` holds the real diagonal entry ``j`` of ``T_(i+1)`` and
-    ``upper[i, t]`` its ``t``-th strict upper entry in row-major order; the
-    batch axis is last, so every matrix entry is one contiguous vector and
-    the product costs ``k (k+1) (k+2) / 6`` vector multiply-adds per factor.
+    Yields ``(s, prod)`` per batch ``[s, s + b)``: ``prod[r, c]``, ``r <=
+    c``, holds entry ``(r, c)`` of the batch's chains as one contiguous
+    length-``b`` vector (real on the diagonal), in row-major order.  The
+    ``sqrt(2)`` per factor is that of the chi diagonals and standard normal
+    upper parts; the product costs ``k (k+1) (k+2) / 6`` vector
+    multiply-adds per factor.
     """
-    n, k, _ = diag.shape
-    pos = {rc: t for t, rc in enumerate(zip(*np.triu_indices(k, 1)))}
-    entries = [(r, c) for r in range(k) for c in range(r, k)]
-    prod = {(r, c): diag[0, r] if r == c else upper[0, pos[r, c]] for r, c in entries}
-    for i in range(1, n):
-        prod = {
-            (r, c): sum(
-                (upper[i, pos[r, l]] * prod[l, c] for l in range(r + 1, c + 1)),
-                diag[i, r] * prod[r, c],
-            )
-            for r, c in entries
-        }
-    return sum(
-        prod[r, c] ** 2 if r == c else prod[r, c].real ** 2 + prod[r, c].imag ** 2
-        for r, c in entries
-    )
-
-
-def _frobenius_values(
-    config: ChannelConfig, start: int, stop: int, seed: int
-) -> np.ndarray:
-    """Draws of X for sample indices ``[start, stop)``; partition-invariant."""
     dims = config.canonical_dims
     k, n = dims[0], config.n
     shapes = [m - j for m in dims[1:] for j in range(k)]
@@ -216,7 +197,8 @@ def _frobenius_values(
     gamma_doubles = ends[-1]
     pairs = k * (k - 1) // 2  # strict upper entries per factor
     doubles = gamma_doubles + 2 * n * pairs
-    out = np.empty(stop - start)
+    pos = {rc: t for t, rc in enumerate(zip(*np.triu_indices(k, 1)))}
+    entries = [(r, c) for r in range(k) for c in range(r, k)]
     batch = max(1, min(_TARGET_WORDS_PER_BATCH // doubles, stop - start))
     rows_buf = np.empty(batch * _padded(doubles))
     u_buf = np.empty(batch * doubles)
@@ -237,14 +219,34 @@ def _frobenius_values(
         for lo, hi in zip(starts, ends):
             for r in range(lo + 1, hi):
                 np.add(logs[lo], logs[r], out=logs[lo])
-        # sqrt(2) times the Bartlett factors: chi_{2(m-j)} diagonals and
-        # standard normal parts, so X = ||T_n ... T_1||_F**2 / 2**n exactly
         diag = np.sqrt(-2.0 * logs[starts]).reshape(n, k, b)
         pair_rows = u[gamma_doubles:]
         upper = np.empty((n * pairs, b), dtype=complex)
         upper.real, upper.imag = _box_muller(pair_rows[0::2], pair_rows[1::2])
-        chain = _triangle_chain_norm(diag, upper.reshape(n, pairs, b))
-        out[s - start : s - start + b] = chain * 0.5**n
+        upper = upper.reshape(n, pairs, b)
+        prod = {(r, c): diag[0, r] if r == c else upper[0, pos[r, c]] for r, c in entries}
+        for i in range(1, n):
+            prod = {
+                (r, c): sum(
+                    (upper[i, pos[r, l]] * prod[l, c] for l in range(r + 1, c + 1)),
+                    diag[i, r] * prod[r, c],
+                )
+                for r, c in entries
+            }
+        yield s, prod
+
+
+def _frobenius_values(
+    config: ChannelConfig, start: int, stop: int, seed: int
+) -> np.ndarray:
+    """Draws of X for sample indices ``[start, stop)``; partition-invariant."""
+    out = np.empty(stop - start)
+    for s, prod in _triangle_chains(config, start, stop, seed):
+        chain = sum(
+            p**2 if r == c else p.real**2 + p.imag**2 for (r, c), p in prod.items()
+        )
+        # the chain is sqrt(2)**n T_n ... T_1, so X is its squared norm / 2**n
+        out[s - start : s - start + chain.size] = chain * 0.5**config.n
     return out
 
 
@@ -298,39 +300,39 @@ def rayleigh_limit_distance(
     i.i.d. complex Gaussians and the distance falls at rate
     ``scatterers**-0.5``.
 
-    Sampling exploits that, conditioned on the partial product ``A`` with
-    ``K0`` columns, the next product ``H A`` equals ``G C`` in distribution,
-    where ``G`` is i.i.d. complex Gaussian with ``K0`` columns and ``C^H C =
-    A^H A``.  Only the ``K0 x K0`` Gram matrices of the partial products are
-    ever accumulated, so the per-draw cost stays far below materializing the
-    largest factor while the law of ``H`` is unchanged.
+    Every cluster must hold at least ``k0`` scatterers.  The cluster layers
+    then multiply to ``Q T_m ... T_1`` with ``Q`` an isometry and ``T_i``
+    the Bartlett triangles of ``ChannelConfig((k0, c_1, ..., c_m))``, and
+    the receive layer times ``Q`` is again i.i.d. Gaussian, so ``P`` has the
+    law of ``G T_m ... T_1`` with a ``kn x k0`` Gaussian ``G``: no matrix
+    larger than ``kn x k0`` is ever drawn.
 
-    Seed policy (common random numbers): every layer draws from its own
-    Philox substream, and cluster layers are laid out entry-major with the
-    sample index minor, so for a fixed seed and count a run with a smaller
-    cluster uses exactly the leading sub-block of the draws of a run with a
-    larger cluster, and the receive-side layer is shared outright.  KS
-    distances of same-seed runs are therefore directly comparable: their
-    difference reflects the convergence in the cluster size rather than
-    independent resampling noise.
+    Seed policy: the triangles are exactly the draws behind
+    ``sample_frobenius(ChannelConfig((k0, c_1, ..., c_m)), count, seed)``,
+    and the receive layer reads a Philox substream of its own that does not
+    depend on the clusters.  Runs with the same seed and count therefore
+    share their receive layer, so the KS distances of runs with different
+    scatterer counts differ by the cluster layers alone.  Cluster layers of
+    different sizes are not nested: the per-sample stream layout of the
+    triangles depends on the sizes.
     """
     k0, kn, scatterers, count = int(k0), int(kn), int(scatterers), int(count)
     if k0 < 1 or kn < 1 or scatterers < 1 or count < 1:
         raise ParameterError("k0, kn, scatterers and count must all be >= 1")
     clusters = [int(math.ceil(r * scatterers - 1e-9)) for r in ratios]
-    if any(c < 1 for c in clusters):
-        raise ParameterError(f"ratios {list(ratios)} give empty clusters")
+    if any(c < k0 for c in clusters):
+        raise ParameterError(
+            f"ratios {list(ratios)} give clusters {clusters}; each needs at least k0 = {k0}"
+        )
     scale = math.sqrt(math.prod(clusters)) if clusters else 1.0
 
-    factor = None  # running K0 x K0 factor C with C^H C = A^H A
-    for layer, rows in enumerate(clusters, start=2):
-        gram = _nested_layer_gram(seed, layer, rows, k0, count)
-        if factor is not None:
-            gram = factor.conj().transpose(0, 2, 1) @ gram @ factor
-        w, v = np.linalg.eigh(gram)
-        factor = np.sqrt(np.clip(w, 0.0, None))[:, :, None] * (
-            v.conj().transpose(0, 2, 1)
-        )
+    factor = None  # the k0 x k0 product T_m ... T_1 of every draw
+    if clusters:
+        factor = np.zeros((count, k0, k0), dtype=complex)
+        for s, prod in _triangle_chains(ChannelConfig((k0, *clusters)), 0, count, seed):
+            for (r, c), entry in prod.items():
+                factor[s : s + entry.size, r, c] = entry
+        factor *= 2.0 ** (-len(clusters) / 2)
 
     # Receive layer: Box-Muller normals interleaved per sample, the first
     # kn * k0 of them real parts and the rest imaginary parts.
@@ -364,34 +366,6 @@ def _ks_normal_statistic(values: np.ndarray) -> float:
     d_plus = (np.arange(1.0, n + 1) / n - cdf).max()
     d_minus = (cdf - np.arange(0.0, n) / n).max()
     return float(max(d_plus, d_minus))
-
-
-def _nested_layer_gram(
-    seed: int, tag: int, rows: int, k0: int, count: int
-) -> np.ndarray:
-    """Gram matrices ``G^H G`` of i.i.d. complex Gaussian ``rows x k0`` layers.
-
-    Draws are indexed (entry, sample) with the sample index minor: entry
-    ``t`` of sample ``i`` consumes the uniform pair at stream positions
-    ``2 * (t * count + i)``.  A run with fewer rows therefore uses exactly
-    the leading entries of a run with more rows (same seed and count), which
-    couples different cluster sizes for common-random-number comparisons.
-    The Gram is accumulated row-chunk by row-chunk, so the full layer matrix
-    is never materialized.
-    """
-    gen = np.random.Generator(_philox(seed, tag))
-    gram = np.zeros((count, k0, k0), dtype=complex)
-    chunk = max(2, (_TARGET_WORDS_PER_BATCH // (2 * k0 * count) + 1) // 2 * 2)
-    for r0 in range(0, rows, chunk):
-        r1 = min(r0 + chunk, rows)
-        u = gen.random(2 * (r1 - r0) * k0 * count).reshape(-1, count, 2)
-        re, im = _box_muller(u[..., 0], u[..., 1])
-        block = ((re + 1j * im) / np.sqrt(2.0)).reshape(
-            r1 - r0, k0, count
-        )
-        block = block.transpose(2, 0, 1)  # (count, rows_chunk, k0)
-        gram += np.einsum("bij,bik->bjk", block.conj(), block)
-    return gram
 
 
 def save_samples(samples: SampleSet, path) -> None:

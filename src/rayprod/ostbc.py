@@ -10,7 +10,6 @@ only.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -34,20 +33,12 @@ def db_to_linear(x_db):
     Raises :class:`ParameterError` where the linear value is not finite
     (above about 3083 dB).
     """
-    if np.ndim(x_db) == 0:
-        try:
-            linear = 10.0 ** (float(x_db) / 10.0)
-        except OverflowError:
-            linear = math.inf
-        finite = math.isfinite(linear)
-    else:
-        with np.errstate(over="ignore"):
-            linear = 10.0 ** (np.asarray(x_db, dtype=float) / 10.0)
-        finite = np.all(np.isfinite(linear))
-    if not finite:
+    with np.errstate(over="ignore"):
+        linear = 10.0 ** (np.asarray(x_db, dtype=float) / 10.0)
+    if not np.all(np.isfinite(linear)):
         # the largest input is the one that overflows (or NaN, if any is)
         raise ParameterError(f"an SNR of {np.max(x_db):g} dB has no finite linear value")
-    return linear
+    return float(linear) if linear.ndim == 0 else linear
 
 
 @dataclass(frozen=True)

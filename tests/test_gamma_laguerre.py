@@ -292,9 +292,20 @@ class TestCdf:
         sups = {}
         for q in (2, 6):
             model = fit(moment_set(ChannelConfig((2, 8, 8, 4)), q))
-            sups[q] = sup_distance(cdf(model, xs)[1], xs.size)
+            sups[q] = sup_distance(lambda x: cdf(model, x)[1], xs)
         assert sups[6] <= 0.02
         assert sups[6] <= sups[2]
+
+    def test_sup_distance_matches_full_formula(self):
+        # the block bounds skip evaluations, never change the result
+        xs = np.sort(np.random.default_rng(3).gamma(2.0, size=503))
+        n = xs.size
+        ranks = np.arange(1, n + 1) / n
+        for shape in (1.7, 2.0, 2.4):
+            f = gammainc(shape, xs)
+            full = max(np.max(np.abs(f - ranks)), np.max(np.abs(f - (ranks - 1.0 / n))))
+            for block in (1, 7, n):
+                assert sup_distance(lambda x: gammainc(shape, x), xs, block) == full
 
 
 class TestCdfInverse:

@@ -73,6 +73,20 @@ class TestSampleFrobenius:
         )
         assert np.array_equal(whole, parts)
 
+    def test_pinned_values(self):
+        # the version-2 stream: any change to its layout moves these far
+        # beyond rel 1e-12; last-bit differences between SIMD loops do not.
+        # (2,30,40,4) at 5000 draws spans three batches of 1736.
+        for dims, count, pins in [
+            ((2, 7, 8, 4), 10, {0: 327.76268315234665, 9: 1220.6050212625141}),
+            ((4, 2, 7), 10, {0: 41.9732000198932, 9: 58.113364515378755}),
+            ((2, 30, 40, 4), 5000,
+             {0: 16657.937426535664, 1736: 7773.972707181405, 4999: 9761.905356878615}),
+        ]:
+            v = sample_frobenius(ChannelConfig(dims), count, 3).values
+            for i, pin in pins.items():
+                assert v[i] == pytest.approx(pin, rel=1e-12), (dims, i)
+
     @pytest.mark.parametrize("dims", [(4, 2, 7), (3, 1, 4), (8, 7, 8, 4)])
     def test_rotated_moments_match_exact(self, dims):
         # K_min is not the first dim: the sampler works on the rotation
@@ -289,9 +303,9 @@ class TestRayleighLimit:
         # any change to the stream layout moves these far beyond rel 1e-12;
         # last-bit differences between SIMD loops on other hosts do not
         assert rayleigh_limit_distance(2, 3, 7, [1.0], 2000, 5) == pytest.approx(
-            0.01420008302903314, rel=1e-12)
+            0.014996193756098258, rel=1e-12)
         assert rayleigh_limit_distance(2, 4, 10, [1.0, 4 / 3], 10**4, 10) == pytest.approx(
-            0.012498882182786941, rel=1e-12)
+            0.012985677672347262, rel=1e-12)
 
     def test_ks_statistic_matches_scipy(self):
         rng = np.random.default_rng(9)
@@ -320,6 +334,8 @@ class TestRayleighLimit:
             rayleigh_limit_distance(0, 4, 10, [1.0], 100, 0)
         with pytest.raises(ParameterError):
             rayleigh_limit_distance(2, 4, 10, [0.0], 100, 0)
+        with pytest.raises(ParameterError):  # a cluster of 2 below k0 = 4
+            rayleigh_limit_distance(4, 4, 2, [1.0], 100, 0)
 
 
 class TestPersistence:
