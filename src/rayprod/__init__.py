@@ -6,6 +6,10 @@ The package computes exact integer moments of the squared Frobenius norm of
 the product channel, fits a moment-matched Gamma-Laguerre CDF model, maps it
 to outage probability and outage capacity, and validates everything against
 a seeded Monte-Carlo simulator.
+
+The simulator's names load :mod:`rayprod.montecarlo`, and with it numpy, on
+first use: the moments, the model and the outage maps run on plain floats,
+so ``import rayprod`` loads neither numpy nor scipy.
 """
 
 from .channel import ChannelConfig
@@ -24,15 +28,6 @@ from .moments import (
     leading_order_moment,
     mgf_moments,
     moment_set,
-)
-from .montecarlo import (
-    Ecdf,
-    SampleSet,
-    load_samples,
-    rayleigh_limit_distance,
-    sample_frobenius,
-    save_samples,
-    variance_recursion,
 )
 from .ostbc import (
     OstbcScheme,
@@ -74,3 +69,25 @@ __all__ = [
     "save_samples",
     "variance_recursion",
 ]
+
+_MONTECARLO = frozenset({
+    "Ecdf",
+    "SampleSet",
+    "load_samples",
+    "rayleigh_limit_distance",
+    "sample_frobenius",
+    "save_samples",
+    "variance_recursion",
+})
+
+
+def __getattr__(name):
+    if name in _MONTECARLO:
+        from . import montecarlo
+
+        return getattr(montecarlo, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -24,8 +24,6 @@ import os
 import re
 import sys
 
-import numpy as np
-
 from .channel import ChannelConfig
 from .errors import NumericError, ParameterError, ResourceError
 from .gamma_laguerre import cdf, fit
@@ -37,13 +35,12 @@ from .moments import (
     mgf_moments,
     moment_set,
 )
-from .montecarlo import Ecdf, sample_frobenius, save_samples
 from .ostbc import (
     OstbcScheme,
+    _outage_capacities,
+    _outage_probabilities,
     db_to_linear,
     ostbc_catalog,
-    outage_capacity,
-    outage_probability,
 )
 
 _ENV_SEED = "RAYPROD_SEED"
@@ -94,7 +91,15 @@ def _parse_dims(text: str) -> ChannelConfig:
     return ChannelConfig(dims)
 
 
-def _parse_grid(text: str) -> np.ndarray:
+def _linspace(start: float, stop: float, count: int) -> list[float]:
+    """``count`` evenly spaced points from ``start`` to ``stop`` with the bits
+    of ``numpy.linspace``: point ``i`` is ``start + i * step``, the last is
+    ``stop``."""
+    step = (stop - start) / (count - 1)
+    return [start + i * step for i in range(count - 1)] + [stop]
+
+
+def _parse_grid(text: str) -> list[float]:
     parts = text.split(":")
     if len(parts) != 3:
         raise ParameterError(f"cannot parse grid {text!r}; expected start:stop:count")
@@ -107,7 +112,7 @@ def _parse_grid(text: str) -> np.ndarray:
         raise ParameterError(f"grid {text!r} needs finite start, stop and stop - start")
     if count < 2 or stop <= start:
         raise ParameterError(f"grid {text!r} needs stop > start and count >= 2")
-    return np.linspace(start, stop, count)
+    return _linspace(start, stop, count)
 
 
 def _finite_float(text: str) -> float:
@@ -152,8 +157,8 @@ def _resolve_seed(value) -> int:
 def _fmt(value) -> str:
     if value is None:
         return ""
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
+    if isinstance(value, int):
+        return str(value)
     return repr(float(value))
 
 
@@ -180,6 +185,11 @@ def _emit(header: list[str], rows: list[list], fmt: str, out: str | None) -> Non
         sys.stdout.write(text)
         if not text.endswith("\n"):
             sys.stdout.write("\n")
+
+
+def _outage_curve(dist, scheme, config, gamma: float, z: list[float]) -> list[float]:
+    """Outage probability at each rate of ``z``, at one transmit SNR."""
+    return _outage_probabilities(dist, scheme, config, [gamma] * len(z), z)
 
 
 def _capacity_header(args) -> tuple[str, float]:
@@ -229,16 +239,17 @@ def _cmd_cdf(args) -> int:
     config = _parse_dims(args.dims)
     model = fit(moment_set(config, args.q))
     hi = model.mean + 10.0 * model.std
-    grid = np.linspace(0.0, hi, args.grid_points)
-    raw, reg = cdf(model, grid)
+    grid = _linspace(0.0, hi, args.grid_points)
+    rows = [[x, *cdf(model, x)] for x in grid]
     header = ["x", "raw_cdf", "regularized_cdf"]
-    columns = [grid, raw, reg]
     if args.simulate:
+        from .montecarlo import Ecdf, sample_frobenius
+
         seed = _resolve_seed(args.seed)
-        samples = sample_frobenius(config, args.samples, seed)
-        columns.append(Ecdf(samples.values)(grid))
+        ecdf = Ecdf(sample_frobenius(config, args.samples, seed).values)
+        for row, value in zip(rows, ecdf(grid)):
+            row.append(value)
         header.append("ecdf")
-    rows = [list(point) for point in zip(*columns)]
     _emit(header, rows, args.format, args.out)
     return 0
 
@@ -253,7 +264,7 @@ def _cmd_outage(args) -> int:
             raise ParameterError("--z-grid needs --snr-db")
         z = _parse_grid(args.z_grid)
         gamma = db_to_linear(args.snr_db)
-        p_out = outage_probability(model, scheme, config, gamma, z)
+        p_out = _outage_curve(model, scheme, config, gamma, z)
         rows = [[zi * factor, pi] for zi, pi in zip(z, p_out)]
         _emit([f"capacity_{unit}", "outage_probability"], rows, args.format, args.out)
         return 0
@@ -261,7 +272,8 @@ def _cmd_outage(args) -> int:
         if args.snr_grid is None:
             raise ParameterError("--pout needs --snr-grid")
         snr_db = _parse_grid(args.snr_grid)
-        c = outage_capacity(model, scheme, config, db_to_linear(snr_db), args.pout)
+        gammas = [db_to_linear(s) for s in snr_db]
+        c = _outage_capacities(model, scheme, config, gammas, args.pout)
         rows = [[s, ci * factor] for s, ci in zip(snr_db, c)]
         _emit(["snr_db", f"outage_capacity_{unit}"], rows, args.format, args.out)
         return 0
@@ -269,6 +281,10 @@ def _cmd_outage(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    import numpy as np
+
+    from .montecarlo import sample_frobenius, save_samples
+
     config = _parse_dims(args.dims)
     seed = _resolve_seed(args.seed)
     samples = sample_frobenius(config, args.samples, seed)
@@ -307,33 +323,35 @@ def _cmd_reproduce(args) -> int:
             f"seed must be an integer in [0, {largest}] for {args.figure}, which "
             f"draws with seeds seed .. seed + {curves - 1}; got {seed}"
         )
+    from .montecarlo import Ecdf, sample_frobenius
+
     unit, factor = _capacity_header(args)
     rows: list[list] = []
     mc_index = 0
 
     if args.figure == "fig2":
-        z = np.linspace(0.05, 3.0, 60)
+        z = _linspace(0.05, 3.0, 60)
         scheme = ostbc_catalog(2)
         gamma = db_to_linear(args.snr_db if args.snr_db is not None else 10.0)
         for k1, k2 in _FIG2_FAMILIES:
             config = ChannelConfig((2, k1, k2, 4))
             for q in (2, 6):
                 model = fit(moment_set(config, q))
-                p = outage_probability(model, scheme, config, gamma, z)
+                p = _outage_curve(model, scheme, config, gamma, z)
                 rows += [[f"{config};model;q={q}", zi * factor, pi]
                          for zi, pi in zip(z, p)]
             ecdf = Ecdf(sample_frobenius(config, args.samples, seed + mc_index).values)
             mc_index += 1
-            p = outage_probability(ecdf, scheme, config, gamma, z)
+            p = _outage_curve(ecdf, scheme, config, gamma, z)
             rows += [[f"{config};mc", zi * factor, pi] for zi, pi in zip(z, p)]
         reference = ChannelConfig((2, 4))
         model = fit(moment_set(reference, 2))
-        p = outage_probability(model, scheme, reference, gamma, z)
+        p = _outage_curve(model, scheme, reference, gamma, z)
         rows += [[f"{reference};rayleigh", zi * factor, pi] for zi, pi in zip(z, p)]
         header = ["curve_id", f"capacity_{unit}", "outage_probability"]
 
     elif args.figure == "fig3":
-        z = np.linspace(0.05, 4.0, 80)
+        z = _linspace(0.05, 4.0, 80)
         scheme = ostbc_catalog(4)
         for clusters in _FIG3_CLUSTERS:
             config = ChannelConfig((4, *([8] * clusters), 4))
@@ -342,17 +360,17 @@ def _cmd_reproduce(args) -> int:
             mc_index += 1
             for snr_db in (0.0, 5.0):
                 gamma = db_to_linear(snr_db)
-                p = outage_probability(model, scheme, config, gamma, z)
+                p = _outage_curve(model, scheme, config, gamma, z)
                 rows += [[f"{config};model;snr={snr_db:g}dB", zi * factor, pi]
                          for zi, pi in zip(z, p)]
-                p = outage_probability(ecdf, scheme, config, gamma, z)
+                p = _outage_curve(ecdf, scheme, config, gamma, z)
                 rows += [[f"{config};mc;snr={snr_db:g}dB", zi * factor, pi]
                          for zi, pi in zip(z, p)]
         header = ["curve_id", f"capacity_{unit}", "outage_probability"]
 
     else:  # fig4
-        snr_db = np.linspace(0.0, 40.0, 41)
-        gamma = db_to_linear(snr_db)
+        snr_db = _linspace(0.0, 40.0, 41)
+        gammas = [db_to_linear(s) for s in snr_db]
         p_out = 0.05
         for k0 in _FIG4_SCHEMES:
             scheme = ostbc_catalog(k0)
@@ -365,8 +383,8 @@ def _cmd_reproduce(args) -> int:
                 (reference, fit(moment_set(reference, 6)), "rayleigh"),
                 (config, ecdf, "mc"),
             ):
-                c = outage_capacity(dist, scheme, curve_config, gamma, p_out)
-                rows += [[f"{curve_config};{label};R={scheme.rate}", float(s), ci * factor]
+                c = _outage_capacities(dist, scheme, curve_config, gammas, p_out)
+                rows += [[f"{curve_config};{label};R={scheme.rate}", s, ci * factor]
                          for s, ci in zip(snr_db, c)]
         header = ["curve_id", "snr_db", f"outage_capacity_{unit}"]
 

@@ -24,19 +24,20 @@ clamp.  The running maximum is exact: the derivative of the raw CDF is
 ``u**(alpha-1) * exp(-u)`` times a polynomial of degree q in ``u = x/beta``,
 so every interior local maximum sits at a positive real root of that
 polynomial, and the supremum over ``[0, x]`` is the larger of the raw value
-at ``x`` and the raw values at the roots below ``x``.
+at ``x`` and the raw values at the roots below ``x``.  :func:`fit` finds
+those roots in plain Python (:func:`_positive_real_roots`), so the module
+needs numpy only to take and return arrays.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 import warnings
 from bisect import bisect_right
 from dataclasses import dataclass, replace
 from itertools import accumulate
-
-import numpy as np
 
 from .errors import FitError, NumericError, ParameterError
 from .moments import MomentSet
@@ -48,6 +49,9 @@ _INVERSE_TOL_P = 1e-10
 _INVERSE_TOL_REL = 1e-6
 _MAX_BRACKET_DOUBLINGS = 60
 _CDF_FLOOR = 1e-14  # regularized values at or below snap to 0: no quantile there
+_MAX_ROOT_STEPS = 100
+_ROOT_STEP_ULPS = 4.0
+_ROOT_SETTLED = 2.0**-30  # a Newton step this small is in the quadratic regime
 
 _EPS = sys.float_info.epsilon
 _MAX = sys.float_info.max
@@ -202,23 +206,105 @@ def _raw_cdf(model: GammaLaguerreModel, x: float) -> float:
     return model.total * _reg_lower_gamma(model.alpha + model.top, u, scale) + pref * s
 
 
-def _derivative_poly(alpha: float, eps_basis) -> np.ndarray:
+def _derivative_poly(alpha: float, eps_basis) -> list[float]:
     """Coefficients (ascending) of the polynomial factor of d(raw)/du."""
-    q = len(eps_basis) - 1
-    coeffs = np.zeros(q + 1)
-    coeffs[0] = 1.0
+    coeffs = []
     poch = 1.0
-    for j in range(q + 1):
+    for j, b in enumerate(eps_basis):
         if j > 0:
             poch *= alpha + j - 1
-        coeffs[j] += eps_basis[j] / poch
+        coeffs.append(b / poch)
+    coeffs[0] += 1.0
     return coeffs
 
 
-def _positive_real_roots(coeffs: np.ndarray) -> list[float]:
-    # np.roots drops zero leading coefficients itself (none left: no roots)
-    return sorted(float(r.real) for r in np.roots(coeffs[::-1])
-                  if abs(r.imag) <= 1e-8 * (1.0 + abs(r.real)) and r.real > 0.0)
+def _horner(coeffs: list[float], u: float) -> float:
+    """``p(u) = sum_k coeffs[k] * u**k``."""
+    s = 0.0
+    for c in reversed(coeffs):
+        s = s * u + c
+    return s
+
+
+def _root_between(coeffs: list[float], a: float, b: float, fa: float) -> float:
+    """The root of ``p`` (see :func:`_horner`) in ``(a, b)``, where ``p`` is
+    monotone and ``p(a) = fa`` and ``p(b)`` have opposite signs.
+
+    Newton steps from the midpoint, each shrinking the bracket; a step that
+    would leave the bracket, or shrink it less than a bisection would have
+    two steps before, is a bisection instead.  Stops at an exact zero, at a
+    step within a few ulps, or where Newton steps had converged and rounding
+    error in ``p(x)`` now throws the next one out: bisecting on from there
+    would chase noise.
+    """
+    x = 0.5 * (a + b)
+    step = last = b - a
+    newton = False
+    for _ in range(_MAX_ROOT_STEPS):
+        fx = slope = 0.0
+        for c in reversed(coeffs):
+            slope = slope * x + fx
+            fx = fx * x + c
+        if fx == 0.0:
+            return x
+        if (fx < 0.0) == (fa < 0.0):
+            a = x
+        else:
+            b = x
+        nxt = x - fx / slope if slope else math.nan
+        if a < nxt < b and abs(2.0 * fx) <= abs(last * slope):
+            last, step, newton = step, x - nxt, True
+            if abs(step) <= _ROOT_STEP_ULPS * _EPS * abs(x):
+                return nxt
+        elif newton and abs(step) <= _ROOT_SETTLED * abs(x):
+            return x
+        else:
+            nxt = 0.5 * (a + b)
+            if not a < nxt < b:
+                return x
+            last, step, newton = step, b - a, False
+        x = nxt
+    return x
+
+
+def _positive_real_roots(coeffs: list[float]) -> list[float]:
+    """Positive real roots of ``sum_k coeffs[k] * u**k``, ascending.
+
+    Rolle isolation down the derivative chain: between consecutive positive
+    roots of ``p'`` (with 0 before them and a bound past every root after)
+    ``p`` is monotone, so it has a root there exactly when it changes sign.
+    The chain starts at the linear derivative and climbs to ``p``.  A root
+    where ``p`` only touches zero is found when ``p`` vanishes exactly at a
+    root of ``p'``; otherwise it is missed, which loses no peak: the raw CDF
+    has no extremum there.
+    """
+    coeffs = list(coeffs)
+    while coeffs and coeffs[-1] == 0.0:  # a zero leading coefficient
+        coeffs.pop()
+    degree = len(coeffs) - 1
+    if degree < 1:
+        return []
+    # Fujiwara's bound plus one: every root, and by Gauss-Lucas every root
+    # of every derivative, is smaller in modulus.
+    lead = coeffs[-1]
+    bound = 1.0 + 2.0 * max(
+        abs(coeffs[degree - k] / (lead if k < degree else 2.0 * lead)) ** (1.0 / k)
+        for k in range(1, degree + 1))
+    chain = [coeffs]
+    for _ in range(degree):
+        chain.append([k * c for k, c in enumerate(chain[-1])][1:])
+    roots: list[float] = []  # of the constant chain[degree]
+    for k in range(degree - 1, -1, -1):
+        points = [0.0, *roots, bound]
+        values = [_horner(chain[k], x) for x in points]
+        roots = []
+        for i in range(len(points) - 1):
+            fa, fb = values[i], values[i + 1]
+            if fa < 0.0 < fb or fb < 0.0 < fa:
+                roots.append(_root_between(chain[k], points[i], points[i + 1], fa))
+            elif fb == 0.0 and 0.0 < points[i + 1] < bound:
+                roots.append(points[i + 1])
+    return roots
 
 
 def fit(moments: MomentSet) -> GammaLaguerreModel:
@@ -307,6 +393,12 @@ def fit(moments: MomentSet) -> GammaLaguerreModel:
     return replace(model, peak_x=peak_x, peak_max=peak_max)
 
 
+def _is_scalar(x) -> bool:
+    """Whether ``x`` is a number or a 0-d array, told without numpy."""
+    # float first: the check for the numbers ABC costs several times more
+    return isinstance(x, (float, numbers.Number)) or getattr(x, "ndim", None) == 0
+
+
 def _cdf_point(model: GammaLaguerreModel, x: float) -> tuple[float, float]:
     """Raw and regularized CDF at one point; see :func:`cdf`."""
     if not x >= 0.0:
@@ -335,8 +427,10 @@ def cdf(model: GammaLaguerreModel, x):
     and invertible.  A scalar ``x`` gives two floats, an array two arrays of
     its shape.
     """
-    if isinstance(x, float) or np.ndim(x) == 0:
+    if _is_scalar(x):
         return _cdf_point(model, float(x))
+    import numpy as np  # only array arguments need it
+
     arr = np.asarray(x, dtype=float)
     raw, reg = [], []
     for v in arr.ravel().tolist():

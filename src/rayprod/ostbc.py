@@ -10,13 +10,13 @@ only.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .channel import ChannelConfig
 from .errors import ParameterError
+from .gamma_laguerre import _is_scalar
 
 __all__ = [
     "OstbcScheme",
@@ -27,18 +27,41 @@ __all__ = [
 ]
 
 
+def _linear(x_db: float) -> float:
+    """``10 ** (x_db / 10)`` for one float, refused where it is not finite."""
+    try:
+        linear = 10.0 ** (x_db / 10.0)
+    except OverflowError:
+        linear = math.inf
+    if not math.isfinite(linear):
+        raise ParameterError(f"an SNR of {x_db:g} dB has no finite linear value")
+    return linear
+
+
+def _elementwise(func, *args):
+    """``func``, which maps lists of floats to a list, on scalars or arrays.
+
+    With every argument a scalar, ``func`` gets one-element lists and its one
+    value comes back as a float.  Otherwise the arguments broadcast as float
+    arrays and the values come back as an array of their shape; numpy is
+    imported here only, for array arguments.
+    """
+    if all(map(_is_scalar, args)):
+        return func(*([float(a)] for a in args))[0]
+    import numpy as np
+
+    arrays = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in args))
+    out = func(*(a.ravel().tolist() for a in arrays))
+    return np.array(out, dtype=float).reshape(arrays[0].shape)
+
+
 def db_to_linear(x_db):
     """``10 ** (x_db / 10)``; a scalar gives a float, an array-like an array.
 
     Raises :class:`ParameterError` where the linear value is not finite
     (above about 3083 dB).
     """
-    with np.errstate(over="ignore"):
-        linear = 10.0 ** (np.asarray(x_db, dtype=float) / 10.0)
-    if not np.all(np.isfinite(linear)):
-        # the largest input is the one that overflows (or NaN, if any is)
-        raise ParameterError(f"an SNR of {np.max(x_db):g} dB has no finite linear value")
-    return float(linear) if linear.ndim == 0 else linear
+    return _elementwise(lambda xs: [_linear(x) for x in xs], x_db)
 
 
 @dataclass(frozen=True)
@@ -82,9 +105,9 @@ def ostbc_catalog(k0: int) -> OstbcScheme:
 
 
 def _snr_denominator(
-    scheme: OstbcScheme, config: ChannelConfig, gamma: np.ndarray
+    scheme: OstbcScheme, config: ChannelConfig, gammas: list[float]
 ) -> tuple[float, float]:
-    """Check the scheme against the channel and the SNR; return ``R`` and
+    """Check the scheme against the channel and the SNRs; return ``R`` and
     ``R * K0 * N``.
 
     The post-decoder SNR is ``gamma * x / (R * K0 * N)``; every SNR <-> channel
@@ -95,11 +118,34 @@ def _snr_denominator(
             f"scheme is for {scheme.tx_antennas} transmit antennas but dims "
             f"start with {config.dims[0]}"
         )
-    # the method, not np.all: np.all's dispatch dominates on a 0-d array
-    if not (gamma > 0).all():
-        raise ParameterError(f"transmit SNR must be positive, got {gamma}")
-    r = float(scheme.rate)
+    for gamma in gammas:
+        if not gamma > 0:  # NaN fails the comparison too
+            raise ParameterError(f"transmit SNR must be positive, got {gamma}")
+    r = scheme.symbols / scheme.block_length  # float(scheme.rate), correctly rounded
     return r, r * config.dims[0] * config.normalization
+
+
+def _outage_probabilities(dist, scheme, config, gammas: list[float], zs: list[float]):
+    """:func:`outage_probability` at each pair of floats ``(gamma, z)``, as a list."""
+    r, denominator = _snr_denominator(scheme, config, gammas)
+    out = []
+    for gamma, z in zip(gammas, zs):
+        if z < 0:
+            raise ParameterError("rate z must be >= 0")
+        try:
+            growth = math.expm1(z / r)
+        except OverflowError:
+            # A rate too high for a finite threshold is certain outage: cdf(inf) = 1.
+            growth = math.inf
+        out.append(dist.cdf(denominator / gamma * growth))
+    return out
+
+
+def _outage_capacities(dist, scheme, config, gammas: list[float], p: float):
+    """:func:`outage_capacity` at each float ``gamma``, as a list; one quantile."""
+    r, denominator = _snr_denominator(scheme, config, gammas)
+    x = dist.quantile(p)
+    return [r * math.log1p(gamma * x / denominator) for gamma in gammas]
 
 
 def outage_probability(
@@ -113,18 +159,11 @@ def outage_probability(
 
     ``dist`` is any distribution of ``X`` with a ``cdf(x)`` method (the
     fitted :class:`GammaLaguerreModel` or a Monte-Carlo :class:`Ecdf`).
-    ``z`` is in nats/s/Hz and may be a scalar or array; ``gamma`` is the
-    linear transmit SNR, a scalar or array-like.
+    ``z`` is in nats/s/Hz; ``gamma`` is the linear transmit SNR.  Scalars
+    give a float; otherwise ``gamma`` and ``z`` broadcast to an array.
     """
-    gamma = np.asarray(gamma, dtype=float)
-    r, denominator = _snr_denominator(scheme, config, gamma)
-    z_arr = np.asarray(z, dtype=float)
-    if np.any(z_arr < 0):
-        raise ParameterError("rate z must be >= 0")
-    # A rate too high for a finite threshold is certain outage: cdf(inf) = 1.
-    with np.errstate(over="ignore"):
-        threshold = denominator / gamma * np.expm1(z_arr / r)
-    return dist.cdf(threshold)
+    return _elementwise(
+        lambda gammas, zs: _outage_probabilities(dist, scheme, config, gammas, zs), gamma, z)
 
 
 def outage_capacity(
@@ -140,7 +179,5 @@ def outage_capacity(
     ``gamma`` (linear transmit SNR) may be a scalar, which returns a float,
     or an array-like; the quantile is taken once for all SNRs.
     """
-    gamma = np.asarray(gamma, dtype=float)
-    r, denominator = _snr_denominator(scheme, config, gamma)
-    out = r * np.log1p(gamma * dist.quantile(p) / denominator)
-    return float(out) if np.ndim(out) == 0 else out
+    return _elementwise(
+        lambda gammas: _outage_capacities(dist, scheme, config, gammas, p), gamma)

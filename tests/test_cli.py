@@ -382,3 +382,14 @@ class TestErrorCodes:
         )
         assert cli.main(["moments", "--dims", "2,3"]) == 3
         assert capsys.readouterr().err.strip().count("\n") == 0
+
+
+def test_grids_have_numpy_linspace_bits():
+    import numpy as np
+
+    from rayprod.cli import _linspace
+
+    for start, stop, count in [(0.0, 40.0, 41), (0.05, 3.0, 60), (0.05, 4.0, 80),
+                               (-5.0, 30.0, 36), (0.0, 1000.0, 3), (0.0, 137.3, 201),
+                               (1e-3, 1e-3 + 1e-9, 7), (-1e300, 1e300, 11)]:
+        assert _linspace(start, stop, count) == np.linspace(start, stop, count).tolist()

@@ -1,5 +1,8 @@
+import itertools
 import math
 import sys
+import warnings
+from dataclasses import replace
 
 import mpmath
 import numpy as np
@@ -20,7 +23,14 @@ from rayprod import (
     sample_frobenius,
 )
 from rayprod import gamma_laguerre
-from rayprod.gamma_laguerre import _prefactor, _raw_cdf, _reg_lower_gamma, _shape_terms
+from rayprod.gamma_laguerre import (
+    _derivative_poly,
+    _positive_real_roots,
+    _prefactor,
+    _raw_cdf,
+    _reg_lower_gamma,
+    _shape_terms,
+)
 
 
 @pytest.fixture(scope="module")
@@ -160,6 +170,107 @@ class TestSingleFactorExactness:
             raw, _ = cdf(model, grid)
             ref = gammainc(float(k0 * k1), grid)
             assert np.max(np.abs(raw - ref)) <= 1e-12
+
+
+def _np_positive_roots(coeffs):
+    """The positive real roots as ``np.roots`` gives them: the search the
+    pure-Python one replaced, which also took near-real pairs as real."""
+    roots = np.roots(np.asarray(coeffs, dtype=float)[::-1])
+    return sorted(float(r.real) for r in roots
+                  if abs(r.imag) <= 1e-8 * (1.0 + abs(r.real)) and r.real > 0.0)
+
+
+def _mp_positive_roots(coeffs):
+    """The positive real roots of the float coefficients, to 50 digits."""
+    coeffs = list(coeffs)
+    while coeffs[-1] == 0.0:
+        coeffs.pop()
+    with mpmath.workdps(50):
+        roots = mpmath.polyroots([mpmath.mpf(c) for c in reversed(coeffs)],
+                                 maxsteps=500, extraprec=500)
+        return sorted(float(mpmath.re(r)) for r in roots
+                      if abs(mpmath.im(r)) < 1e-30 and mpmath.re(r) > 0)
+
+
+def _from_roots(*factors):
+    """Ascending float coefficients of the product of ascending factors."""
+    out = [1.0]
+    for f in factors:
+        prod = [0.0] * (len(out) + len(f) - 1)
+        for i, a in enumerate(out):
+            for j, b in enumerate(f):
+                prod[i + j] += a * b
+        out = prod
+    return out
+
+
+def _assert_roots(got, expected, rel):
+    assert len(got) == len(expected), (got, expected)
+    for g, e in zip(got, expected):
+        assert g == pytest.approx(e, rel=rel), (got, expected)
+
+
+_DEEP = [(4, 8, 8, 8, 4), (2, 2, 2, 2, 2, 2), (1, 1, 9, 1, 1)]
+
+
+def _fit_quietly(dims, q):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # large weights, by design
+        return fit(moment_set(ChannelConfig(dims), q))
+
+
+class TestPositiveRealRoots:
+    def test_agrees_with_np_roots(self):
+        # criterion 1's grid (n <= 3, dims 1..8) at q = 6, and deep chains
+        # at every order np.roots itself resolves to 1e-12
+        cases = [(dims, 6) for n in (1, 2, 3)
+                 for dims in itertools.product(range(1, 9), repeat=n + 1)]
+        cases += [(dims, q) for dims in _DEEP for q in range(2, 9)]
+        for dims, q in cases:
+            model = _fit_quietly(dims, q)
+            coeffs = _derivative_poly(model.alpha, model.eps_basis)
+            _assert_roots(_positive_real_roots(coeffs), _np_positive_roots(coeffs), 1e-12)
+
+    def test_high_orders_against_mpmath(self):
+        # from q = 9 on np.roots drifts past 1e-12 of the exact roots of the
+        # float polynomial; the search stays within 1e-10 up to q = 12
+        for dims, q in itertools.product(_DEEP + [(2, 7, 8, 4)], range(9, 13)):
+            model = _fit_quietly(dims, q)
+            coeffs = _derivative_poly(model.alpha, model.eps_basis)
+            _assert_roots(_positive_real_roots(coeffs), _mp_positive_roots(coeffs), 1e-10)
+
+    def test_hand_built(self):
+        tangency = _from_roots([-2.0, 1.0], [-2.0, 1.0], [-5.0, 1.0])
+        _assert_roots(_positive_real_roots(tangency), [2.0, 5.0], 1e-14)
+        # a pair 1e-6 apart: Horner's rounding near it, about 1e-13, over a
+        # slope of about 4e-6 leaves each root of the pair uncertain by ~1e-8
+        pair = _from_roots([-3.0, 1.0], [-(3.0 + 1e-6), 1.0], [-7.0, 1.0])
+        _assert_roots(_positive_real_roots(pair), _mp_positive_roots(pair), 1e-8)
+        _assert_roots(_positive_real_roots(pair), [3.0, 3.0 + 1e-6, 7.0], 1e-8)
+        assert _positive_real_roots(_from_roots([1.0, 1.0], [2.0, 1.0], [1.0, 0.0, 1.0])) == []
+        positive = (0.5, 1.0, 2.0, 4.0, 8.0, 16.0)
+        degree12 = _from_roots(*[[-r, 1.0] for r in positive],
+                               [1.0, 0.0, 1.0], [5.0, 2.0, 1.0], [10.0, -2.0, 1.0])
+        assert len(degree12) == 13
+        _assert_roots(_positive_real_roots(degree12), _mp_positive_roots(degree12), 1e-12)
+        _assert_roots(_positive_real_roots(degree12), positive, 1e-13)
+        # a root at 0 and zero leading coefficients
+        assert _positive_real_roots([0.0, -3.0, 1.0, 0.0, 0.0]) == [3.0]
+        assert _positive_real_roots([5.0]) == _positive_real_roots([0.0, 0.0]) == []
+
+    def test_peaks_and_grid_match_np_roots_candidates(self):
+        # the peak values and a 201-point regularized grid as the np.roots
+        # candidates give them; the raw CDF is flat at a peak, so a root
+        # moved within its rounding moves a peak value by rounding only
+        for dims in [(2, 7, 8, 4), (2, 2, 2, 2, 2), (4, 8, 8, 4), *_DEEP]:
+            model = _fit_quietly(dims, 6)
+            peak_x = tuple(model.beta * u for u in _np_positive_roots(
+                _derivative_poly(model.alpha, model.eps_basis)))
+            reference = replace(model, peak_x=peak_x, peak_max=tuple(
+                itertools.accumulate((_raw_cdf(model, x) for x in peak_x), max)))
+            assert model.peak_max == pytest.approx(reference.peak_max, rel=0, abs=2e-15)
+            grid = np.linspace(0.0, model.mean + 10.0 * model.std, 201)
+            assert np.max(np.abs(cdf(model, grid)[1] - cdf(reference, grid)[1])) <= 1e-15
 
 
 class TestCdf:
