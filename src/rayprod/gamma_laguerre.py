@@ -36,9 +36,9 @@ import numbers
 import sys
 import warnings
 from bisect import bisect_right
-from dataclasses import dataclass, replace
 from itertools import accumulate
 
+from .channel import _Record
 from .errors import FitError, NumericError, ParameterError
 from .moments import MomentSet
 
@@ -63,8 +63,7 @@ _STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360, 1 /
 _STIRLING_MIN_A = 10.0
 
 
-@dataclass(frozen=True)
-class GammaLaguerreModel:
+class GammaLaguerreModel(_Record):
     """Fitted CDF model; immutable and safe to share across threads.
 
     ``weights_scaled[i] = (alpha)_i * Gamma(alpha) * w_i``, with ``w_i``
@@ -76,19 +75,22 @@ class GammaLaguerreModel:
     largest raw value at the interior peaks ``peak_x[:i + 1]``.
     """
 
-    alpha: float
-    beta: float
-    q: int
-    weights_scaled: tuple[float, ...]
-    source_moments: MomentSet
-    eps_basis: tuple[float, ...]
-    top: int
-    total: float
-    horner: tuple[float, ...]
-    poch_top: float
-    shape_terms: tuple[float, float, float]
-    peak_x: tuple[float, ...] = ()
-    peak_max: tuple[float, ...] = ()
+    __slots__ = (
+        "alpha",  # float
+        "beta",  # float
+        "q",  # int
+        "weights_scaled",  # tuple[float, ...]
+        "source_moments",  # MomentSet
+        "eps_basis",  # tuple[float, ...]
+        "top",  # int
+        "total",  # float
+        "horner",  # tuple[float, ...]
+        "poch_top",  # float
+        "shape_terms",  # tuple[float, float, float]
+        "peak_x",  # tuple[float, ...], default ()
+        "peak_max",  # tuple[float, ...], default ()
+    )
+    _defaults = {"peak_x": (), "peak_max": ()}
 
     @property
     def mean(self) -> float:
@@ -100,6 +102,8 @@ class GammaLaguerreModel:
 
     def cdf(self, x):
         """Regularized CDF at ``x``; see :func:`cdf` for the raw series too."""
+        if type(x) is float:  # the outage maps' per-point call skips the dispatch
+            return _cdf_point(self, x)[1]
         return cdf(self, x)[1]
 
     def quantile(self, p: float) -> float:
@@ -390,7 +394,7 @@ def fit(moments: MomentSet) -> GammaLaguerreModel:
     candidates = _positive_real_roots(_derivative_poly(alpha, eps_basis))
     peak_x = tuple(beta * u for u in candidates)
     peak_max = tuple(accumulate((_raw_cdf(model, xp) for xp in peak_x), max))
-    return replace(model, peak_x=peak_x, peak_max=peak_max)
+    return model.replace(peak_x=peak_x, peak_max=peak_max)
 
 
 def _is_scalar(x) -> bool:

@@ -29,9 +29,8 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
-from .channel import ChannelConfig
+from .channel import ChannelConfig, _Record
 from .errors import NumericError, ParameterError, ResourceError
 
 __all__ = [
@@ -51,14 +50,12 @@ _COMPOSITION_CAP = 60_000  # the partition sum's composition count limit
 _K_MIN_BOUND = {"exact_moment": 200, "mgf_moments": 36}
 
 
-@dataclass(frozen=True)
-class MomentSet:
+class MomentSet(_Record):
     """Moments ``E[X^1] .. E[X^q]`` of ``X`` for one channel."""
 
-    config: ChannelConfig
-    values: tuple[float, ...]
+    __slots__ = ("config", "values")  # ChannelConfig, tuple[float, ...]
 
-    def __post_init__(self):
+    def _check(self):
         if len(self.values) < 1:
             raise ParameterError("a MomentSet needs at least one moment")
         if any(not v > 0 for v in self.values):

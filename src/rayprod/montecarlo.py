@@ -53,11 +53,10 @@ from __future__ import annotations
 import math
 import operator
 import struct
-from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import ChannelConfig
+from .channel import ChannelConfig, _Record
 from .errors import ParameterError
 
 __all__ = [
@@ -76,15 +75,18 @@ _MAGIC = b"RPSAMPLE"
 _VERSION = 2
 
 
-@dataclass(frozen=True, eq=False)
-class SampleSet:
-    """Seeded draws of ``X = ||P||_F**2`` for one channel configuration."""
+class SampleSet(_Record):
+    """Seeded draws of ``X = ||P||_F**2`` for one channel configuration;
+    compared by identity, and its ``repr`` leaves the draws out."""
 
-    config: ChannelConfig
-    seed: int
-    values: np.ndarray = field(repr=False)
+    __slots__ = ("config", "seed", "values")  # ChannelConfig, int, np.ndarray
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
-    def __post_init__(self):
+    def __repr__(self) -> str:
+        return f"SampleSet(config={self.config!r}, seed={self.seed!r})"
+
+    def _check(self):
         _check_seed(self.seed)
         if self.values.ndim != 1 or self.values.size == 0:
             raise ParameterError("values must be a non-empty 1-d array")
@@ -106,6 +108,8 @@ class Ecdf:
         self._sorted = arr
 
     def __call__(self, x):
+        if type(x) is float:  # the outage maps' per-point call skips numpy's dispatch
+            return int(self._sorted.searchsorted(x, side="right")) / self._sorted.size
         idx = np.searchsorted(self._sorted, np.asarray(x, dtype=float), side="right")
         out = idx / self._sorted.size
         return float(out) if np.isscalar(x) or out.ndim == 0 else out

@@ -11,10 +11,8 @@ only.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from fractions import Fraction
 
-from .channel import ChannelConfig
+from .channel import ChannelConfig, _Record
 from .errors import ParameterError
 from .gamma_laguerre import _is_scalar
 
@@ -64,16 +62,13 @@ def db_to_linear(x_db):
     return _elementwise(lambda xs: [_linear(x) for x in xs], x_db)
 
 
-@dataclass(frozen=True)
-class OstbcScheme:
+class OstbcScheme(_Record):
     """An orthogonal design sending ``symbols`` symbols over ``block_length``
     uses of ``tx_antennas`` transmit antennas."""
 
-    tx_antennas: int
-    symbols: int
-    block_length: int
+    __slots__ = ("tx_antennas", "symbols", "block_length")  # all int
 
-    def __post_init__(self):
+    def _check(self):
         if self.tx_antennas < 1 or self.symbols < 1 or self.block_length < 1:
             raise ParameterError(f"invalid OSTBC parameters {self}")
         if self.symbols > self.block_length:
@@ -82,6 +77,8 @@ class OstbcScheme:
     @property
     def rate(self) -> Fraction:
         """Code rate ``R = S/T``, exact."""
+        from fractions import Fraction  # on first use: it imports decimal
+
         return Fraction(self.symbols, self.block_length)
 
 

@@ -2,7 +2,6 @@ import itertools
 import math
 import sys
 import warnings
-from dataclasses import replace
 
 import mpmath
 import numpy as np
@@ -266,7 +265,7 @@ class TestPositiveRealRoots:
             model = _fit_quietly(dims, 6)
             peak_x = tuple(model.beta * u for u in _np_positive_roots(
                 _derivative_poly(model.alpha, model.eps_basis)))
-            reference = replace(model, peak_x=peak_x, peak_max=tuple(
+            reference = model.replace(peak_x=peak_x, peak_max=tuple(
                 itertools.accumulate((_raw_cdf(model, x) for x in peak_x), max)))
             assert model.peak_max == pytest.approx(reference.peak_max, rel=0, abs=2e-15)
             grid = np.linspace(0.0, model.mean + 10.0 * model.std, 201)
@@ -501,5 +500,10 @@ class TestDistributionMethods:
         grid = np.linspace(0.0, model.mean + 10.0 * model.std, 33)
         assert np.array_equal(model.cdf(grid), cdf(model, grid)[1])
         assert model.cdf(model.mean) == cdf(model, model.mean)[1]
+        # a float skips cdf's dispatch: same values, still refused below 0
+        assert [model.cdf(x) for x in grid.tolist()] == cdf(model, grid)[1].tolist()
+        assert type(model.cdf(1.0)) is float and model.cdf(1) == model.cdf(1.0)
+        with pytest.raises(ParameterError):
+            model.cdf(-1.0)
         for p in (0.01, 0.05, 0.5):
             assert model.quantile(p) == cdf_inverse(model, p)

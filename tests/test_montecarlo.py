@@ -203,6 +203,19 @@ class TestEcdf:
         e = Ecdf([1.0, 2.0, 3.0])
         np.testing.assert_allclose(e(np.array([0.0, 1.0, 2.5])), [0.0, 1 / 3, 2 / 3])
 
+    def test_float_call_matches_array_call(self):
+        # a float takes the scalar path; its values are the array path's bits
+        rng = np.random.default_rng(3)
+        for values in ([2.0], [1.0, 1.0, 2.0, 3.0, 3.0, 3.0, 5.0], rng.exponential(size=1001)):
+            e = Ecdf(values)
+            v = np.sort(np.asarray(values, dtype=float))
+            x = np.concatenate([v, np.nextafter(v, -np.inf), (v[:-1] + v[1:]) / 2,
+                                [-np.inf, 0.0, np.inf, np.nan]])
+            floats = [e(t) for t in x.tolist()]
+            assert all(type(f) is float for f in floats)
+            assert floats == e(x).tolist()
+            assert e(np.float64(v[0])) == e(float(v[0])) and e(2) == e(2.0)
+
     def test_empty(self):
         with pytest.raises(ParameterError):
             Ecdf([])

@@ -37,9 +37,15 @@ def _python(code, *args):
 
 @pytest.mark.parametrize("module", ["rayprod", "rayprod.cli"])
 def test_import_leaves_numpy_out(module):
-    out = _python(f"import sys, {module}; print('numpy' in sys.modules)")
-    assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "False"
+    # nor dataclasses (with inspect) or fractions (with decimal), which cost
+    # milliseconds of cold start; a bare interpreter's modules are the base,
+    # so a site .pth file that loads one of them cannot fail the test
+    listing = "import sys; print(*sys.modules)"
+    bare, out = _python(listing), _python(f"import {module}; {listing}")
+    assert bare.returncode == out.returncode == 0, out.stderr
+    added = set(out.stdout.split()) - set(bare.stdout.split())
+    assert module in added
+    assert not added & {"numpy", "dataclasses", "inspect", "fractions", "decimal"}
 
 
 @pytest.mark.parametrize("argv", [
