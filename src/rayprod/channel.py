@@ -18,6 +18,17 @@ from .errors import ParameterError
 __all__ = ["ChannelConfig"]
 
 
+def _integer(value, name: str) -> int:
+    """``value`` as an int; a number with a fractional part, NaN, an infinity
+    or a non-number is refused.  Integral floats such as ``3.0`` pass."""
+    try:
+        if value == int(value):
+            return int(value)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ParameterError(f"{name} must be an integer, got {value!r}")
+
+
 class _Record:
     """Immutable record whose fields are its class's ``__slots__``.
 
@@ -91,9 +102,7 @@ class ChannelConfig(_Record):
     __slots__ = ("dims",)  # tuple[int, ...]
 
     def _check(self):
-        dims = tuple(int(k) for k in self.dims)
-        if dims != tuple(self.dims) and any(k != int(k) for k in self.dims):
-            raise ParameterError(f"dims must be integers, got {self.dims!r}")
+        dims = tuple(_integer(k, "each dimension") for k in self.dims)
         object.__setattr__(self, "dims", dims)
         if len(dims) < 2:
             raise ParameterError("need at least two dimensions (K0, K1)")

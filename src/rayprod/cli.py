@@ -327,7 +327,13 @@ def _cmd_reproduce(args) -> int:
 
     unit, factor = _capacity_header(args)
     rows: list[list] = []
-    mc_index = 0
+    seeds = iter(range(seed, seed + curves))
+    header = ["curve_id", f"capacity_{unit}", "outage_probability"]
+
+    def probability(config, dist, label, gamma):
+        """Rows of one outage curve at the figure's ``scheme`` and rates ``z``."""
+        p = _outage_curve(dist, scheme, config, gamma, z)
+        rows.extend([f"{config};{label}", zi * factor, pi] for zi, pi in zip(z, p))
 
     if args.figure == "fig2":
         z = _linspace(0.05, 3.0, 60)
@@ -336,19 +342,11 @@ def _cmd_reproduce(args) -> int:
         for k1, k2 in _FIG2_FAMILIES:
             config = ChannelConfig((2, k1, k2, 4))
             for q in (2, 6):
-                model = fit(moment_set(config, q))
-                p = _outage_curve(model, scheme, config, gamma, z)
-                rows += [[f"{config};model;q={q}", zi * factor, pi]
-                         for zi, pi in zip(z, p)]
-            ecdf = Ecdf(sample_frobenius(config, args.samples, seed + mc_index).values)
-            mc_index += 1
-            p = _outage_curve(ecdf, scheme, config, gamma, z)
-            rows += [[f"{config};mc", zi * factor, pi] for zi, pi in zip(z, p)]
+                probability(config, fit(moment_set(config, q)), f"model;q={q}", gamma)
+            ecdf = Ecdf(sample_frobenius(config, args.samples, next(seeds)).values)
+            probability(config, ecdf, "mc", gamma)
         reference = ChannelConfig((2, 4))
-        model = fit(moment_set(reference, 2))
-        p = _outage_curve(model, scheme, reference, gamma, z)
-        rows += [[f"{reference};rayleigh", zi * factor, pi] for zi, pi in zip(z, p)]
-        header = ["curve_id", f"capacity_{unit}", "outage_probability"]
+        probability(reference, fit(moment_set(reference, 2)), "rayleigh", gamma)
 
     elif args.figure == "fig3":
         z = _linspace(0.05, 4.0, 80)
@@ -356,17 +354,11 @@ def _cmd_reproduce(args) -> int:
         for clusters in _FIG3_CLUSTERS:
             config = ChannelConfig((4, *([8] * clusters), 4))
             model = fit(moment_set(config, 6))
-            ecdf = Ecdf(sample_frobenius(config, args.samples, seed + mc_index).values)
-            mc_index += 1
+            ecdf = Ecdf(sample_frobenius(config, args.samples, next(seeds)).values)
             for snr_db in (0.0, 5.0):
                 gamma = db_to_linear(snr_db)
-                p = _outage_curve(model, scheme, config, gamma, z)
-                rows += [[f"{config};model;snr={snr_db:g}dB", zi * factor, pi]
-                         for zi, pi in zip(z, p)]
-                p = _outage_curve(ecdf, scheme, config, gamma, z)
-                rows += [[f"{config};mc;snr={snr_db:g}dB", zi * factor, pi]
-                         for zi, pi in zip(z, p)]
-        header = ["curve_id", f"capacity_{unit}", "outage_probability"]
+                probability(config, model, f"model;snr={snr_db:g}dB", gamma)
+                probability(config, ecdf, f"mc;snr={snr_db:g}dB", gamma)
 
     else:  # fig4
         snr_db = _linspace(0.0, 40.0, 41)
@@ -376,8 +368,7 @@ def _cmd_reproduce(args) -> int:
             scheme = ostbc_catalog(k0)
             config = ChannelConfig((k0, 7, 8, 4))
             reference = ChannelConfig((k0, 4))
-            ecdf = Ecdf(sample_frobenius(config, args.samples, seed + mc_index).values)
-            mc_index += 1
+            ecdf = Ecdf(sample_frobenius(config, args.samples, next(seeds)).values)
             for curve_config, dist, label in (
                 (config, fit(moment_set(config, 6)), "model"),
                 (reference, fit(moment_set(reference, 6)), "rayleigh"),

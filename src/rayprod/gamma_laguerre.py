@@ -102,8 +102,6 @@ class GammaLaguerreModel(_Record):
 
     def cdf(self, x):
         """Regularized CDF at ``x``; see :func:`cdf` for the raw series too."""
-        if type(x) is float:  # the outage maps' per-point call skips the dispatch
-            return _cdf_point(self, x)[1]
         return cdf(self, x)[1]
 
     def quantile(self, p: float) -> float:

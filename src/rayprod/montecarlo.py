@@ -56,7 +56,7 @@ import struct
 
 import numpy as np
 
-from .channel import ChannelConfig, _Record
+from .channel import ChannelConfig, _integer, _Record
 from .errors import ParameterError
 
 __all__ = [
@@ -108,11 +108,8 @@ class Ecdf:
         self._sorted = arr
 
     def __call__(self, x):
-        if type(x) is float:  # the outage maps' per-point call skips numpy's dispatch
-            return int(self._sorted.searchsorted(x, side="right")) / self._sorted.size
-        idx = np.searchsorted(self._sorted, np.asarray(x, dtype=float), side="right")
-        out = idx / self._sorted.size
-        return float(out) if np.isscalar(x) or out.ndim == 0 else out
+        out = self._sorted.searchsorted(x, side="right") / self._sorted.size
+        return out if out.ndim else float(out)
 
     def cdf(self, x):
         """Same as calling the ECDF; the distribution interface of ``ostbc``."""
@@ -256,7 +253,7 @@ def _frobenius_values(
 
 def sample_frobenius(config: ChannelConfig, count: int, seed: int) -> SampleSet:
     """``count`` seeded draws of ``X = ||H_n ... H_1||_F**2``."""
-    count = int(count)
+    count = _integer(count, "count")
     if count < 1:
         raise ParameterError(f"count must be >= 1, got {count}")
     values = _frobenius_values(config, 0, count, seed)

@@ -127,8 +127,8 @@ def _outage_probabilities(dist, scheme, config, gammas: list[float], zs: list[fl
     r, denominator = _snr_denominator(scheme, config, gammas)
     out = []
     for gamma, z in zip(gammas, zs):
-        if z < 0:
-            raise ParameterError("rate z must be >= 0")
+        if not z >= 0:  # NaN fails the comparison too
+            raise ParameterError(f"rate z must be >= 0, got {z}")
         try:
             growth = math.expm1(z / r)
         except OverflowError:

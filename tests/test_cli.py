@@ -6,7 +6,19 @@ import warnings
 
 import pytest
 
-from rayprod import NumericError, ResourceError
+from rayprod import (
+    ChannelConfig,
+    Ecdf,
+    NumericError,
+    ResourceError,
+    db_to_linear,
+    fit,
+    moment_set,
+    ostbc_catalog,
+    outage_capacity,
+    outage_probability,
+    sample_frobenius,
+)
 from rayprod.cli import main
 
 
@@ -240,6 +252,43 @@ class TestReproduce:
         assert len({c for c in curves if ";rayleigh;" in c}) == 3
         assert len({c for c in curves if ";mc;" in c}) == 3
 
+    @pytest.mark.parametrize("figure,draw_order", [
+        ("fig2", [(2, 6, 8, 4), (2, 15, 20, 4), (2, 30, 40, 4)]),
+        ("fig3", [(4, 4), (4, 8, 4), (4, 8, 8, 4), (4, 8, 8, 8, 4)]),
+        ("fig4", [(2, 7, 8, 4), (4, 7, 8, 4), (8, 7, 8, 4)]),
+    ])
+    def test_curves_rebuild_from_the_library(self, capsys, tmp_path, figure, draw_order):
+        # Monte-Carlo curve k uses seed + k, k counting the configs in the
+        # order of their first draw; model and reference curves are fits of
+        # the exact moments.  Every value comes back bit for bit.
+        seed, samples = 11, 300
+        out = tmp_path / f"{figure}.csv"
+        code, _, _ = _run(capsys, ["reproduce", "--figure", figure, "--samples",
+                                   str(samples), "--seed", str(seed), "--out", str(out)])
+        assert code == 0
+        curves, drawn = {}, set()
+        for curve_id, x, y in _rows(out.read_text())[1]:
+            xs, ys = curves.setdefault(curve_id, ([], []))
+            xs.append(float(x))
+            ys.append(float(y))
+        for curve_id, (xs, ys) in curves.items():
+            dims, label, *tags = curve_id.split(";")
+            config = ChannelConfig(tuple(int(k) for k in dims.strip("[]").split(",")))
+            scheme = ostbc_catalog(config.dims[0])
+            if label == "mc":
+                drawn.add(config.dims)
+                k = draw_order.index(config.dims)
+                dist = Ecdf(sample_frobenius(config, samples, seed + k).values)
+            else:  # fig2 tags its models with q and fits its reference at q = 2
+                q = (int(tags[0][2:]) if tags else 2) if figure == "fig2" else 6
+                dist = fit(moment_set(config, q))
+            if figure == "fig4":
+                rebuilt = outage_capacity(dist, scheme, config, db_to_linear(xs), 0.05)
+            else:
+                snr_db = float(tags[0][4:-2]) if figure == "fig3" else 10.0
+                rebuilt = outage_probability(dist, scheme, config, db_to_linear(snr_db), xs)
+            assert rebuilt.tolist() == ys, curve_id
+        assert drawn == set(draw_order)
 
     @pytest.mark.parametrize("figure,curves", [("fig2", 3), ("fig3", 4), ("fig4", 3)])
     def test_seed_range(self, capsys, monkeypatch, tmp_path, figure, curves):

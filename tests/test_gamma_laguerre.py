@@ -500,7 +500,7 @@ class TestDistributionMethods:
         grid = np.linspace(0.0, model.mean + 10.0 * model.std, 33)
         assert np.array_equal(model.cdf(grid), cdf(model, grid)[1])
         assert model.cdf(model.mean) == cdf(model, model.mean)[1]
-        # a float skips cdf's dispatch: same values, still refused below 0
+        # a float gives a float with the grid call's value, and is refused below 0
         assert [model.cdf(x) for x in grid.tolist()] == cdf(model, grid)[1].tolist()
         assert type(model.cdf(1.0)) is float and model.cdf(1) == model.cdf(1.0)
         with pytest.raises(ParameterError):

@@ -38,6 +38,11 @@ class TestChannelConfig:
             ChannelConfig((3,))
         with pytest.raises(ParameterError):
             ChannelConfig((2, 0))
+        for k in (2.5, math.nan, math.inf, None, "3"):
+            with pytest.raises(ParameterError, match="must be an integer"):
+                ChannelConfig((2, k))
+        assert ChannelConfig((2, 3.0)).dims == (2, 3)
+        assert ChannelConfig((2, 1e6)).dims == (2, 10**6)
 
 
 class TestExactMoment:

@@ -156,8 +156,14 @@ class TestSampleFrobenius:
         assert np.all(samples.values >= 0.0)
 
     def test_count_guard(self):
+        config = ChannelConfig((2, 3))
         with pytest.raises(ParameterError):
-            sample_frobenius(ChannelConfig((2, 3)), 0, 0)
+            sample_frobenius(config, 0, 0)
+        for count in (2.5, math.nan, math.inf, None, "3"):
+            with pytest.raises(ParameterError, match="count must be an integer"):
+                sample_frobenius(config, count, 0)
+        assert sample_frobenius(config, 3.0, 0).count == 3
+        assert sample_frobenius(config, 1e3, 0).count == 1000
 
     def test_seed_range(self):
         # the stream key holds 64 seed bits and the sample file a uint64, so
@@ -204,7 +210,7 @@ class TestEcdf:
         np.testing.assert_allclose(e(np.array([0.0, 1.0, 2.5])), [0.0, 1 / 3, 2 / 3])
 
     def test_float_call_matches_array_call(self):
-        # a float takes the scalar path; its values are the array path's bits
+        # a scalar gives a float with the bits of the array call
         rng = np.random.default_rng(3)
         for values in ([2.0], [1.0, 1.0, 2.0, 3.0, 3.0, 3.0, 5.0], rng.exponential(size=1001)):
             e = Ecdf(values)

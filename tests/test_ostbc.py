@@ -93,11 +93,13 @@ class TestOutageProbability:
         assert np.array_equal(p, ecdf(threshold))
 
     def test_domain(self):
-        model = _model((2, 3))
-        with pytest.raises(ParameterError):
-            outage_probability(model, ostbc_catalog(2), ChannelConfig((2, 3)), -1.0, 1.0)
-        with pytest.raises(ParameterError):
-            outage_probability(model, ostbc_catalog(2), ChannelConfig((2, 3)), 1.0, -0.5)
+        config = ChannelConfig((2, 3))
+        for dist in (_model((2, 3)), Ecdf(sample_frobenius(config, 100, 0).values)):
+            with pytest.raises(ParameterError):
+                outage_probability(dist, ostbc_catalog(2), config, -1.0, 1.0)
+            for z in (-0.5, math.nan):
+                with pytest.raises(ParameterError, match=f"rate z must be >= 0, got {z}"):
+                    outage_probability(dist, ostbc_catalog(2), config, 1.0, z)
 
 
 class TestOutageCapacity:
