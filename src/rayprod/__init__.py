@@ -28,6 +28,7 @@ from .moments import (
     leading_order_moment,
     mgf_moments,
     moment_set,
+    variance_recursion,
 )
 from .ostbc import (
     OstbcScheme,
@@ -77,7 +78,6 @@ _MONTECARLO = frozenset({
     "rayleigh_limit_distance",
     "sample_frobenius",
     "save_samples",
-    "variance_recursion",
 })
 
 

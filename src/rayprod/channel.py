@@ -18,15 +18,18 @@ from .errors import ParameterError
 __all__ = ["ChannelConfig"]
 
 
-def _integer(value, name: str) -> int:
-    """``value`` as an int; a number with a fractional part, NaN, an infinity
-    or a non-number is refused.  Integral floats such as ``3.0`` pass."""
+def _integer(value, name: str, low: int | None = None) -> int:
+    """``value`` as an int, refused unless it is an integral number of at
+    least ``low`` (when given): a fractional part, NaN, an infinity or a
+    non-number fails.  Integral floats such as ``3.0`` pass."""
     try:
-        if value == int(value):
-            return int(value)
+        number = int(value)
     except (TypeError, ValueError, OverflowError):
-        pass
-    raise ParameterError(f"{name} must be an integer, got {value!r}")
+        number = None
+    if number is None or number != value or (low is not None and number < low):
+        bound = "" if low is None else f" >= {low}"
+        raise ParameterError(f"{name} must be an integer{bound}, got {value!r}")
+    return number
 
 
 class _Record:
@@ -102,12 +105,10 @@ class ChannelConfig(_Record):
     __slots__ = ("dims",)  # tuple[int, ...]
 
     def _check(self):
-        dims = tuple(_integer(k, "each dimension") for k in self.dims)
+        dims = tuple(_integer(k, "each dimension", 1) for k in self.dims)
         object.__setattr__(self, "dims", dims)
         if len(dims) < 2:
             raise ParameterError("need at least two dimensions (K0, K1)")
-        if any(k < 1 for k in dims):
-            raise ParameterError(f"all dimensions must be >= 1, got {dims}")
 
     @property
     def n(self) -> int:

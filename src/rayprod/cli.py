@@ -187,11 +187,6 @@ def _emit(header: list[str], rows: list[list], fmt: str, out: str | None) -> Non
             sys.stdout.write("\n")
 
 
-def _outage_curve(dist, scheme, config, gamma: float, z: list[float]) -> list[float]:
-    """Outage probability at each rate of ``z``, at one transmit SNR."""
-    return _outage_probabilities(dist, scheme, config, [gamma] * len(z), z)
-
-
 def _capacity_header(args) -> tuple[str, float]:
     if args.bits:
         return "bits_per_s_hz", _NATS_TO_BITS
@@ -264,7 +259,7 @@ def _cmd_outage(args) -> int:
             raise ParameterError("--z-grid needs --snr-db")
         z = _parse_grid(args.z_grid)
         gamma = db_to_linear(args.snr_db)
-        p_out = _outage_curve(model, scheme, config, gamma, z)
+        p_out = _outage_probabilities(model, scheme, config, [gamma] * len(z), z)
         rows = [[zi * factor, pi] for zi, pi in zip(z, p_out)]
         _emit([f"capacity_{unit}", "outage_probability"], rows, args.format, args.out)
         return 0
@@ -332,7 +327,7 @@ def _cmd_reproduce(args) -> int:
 
     def probability(config, dist, label, gamma):
         """Rows of one outage curve at the figure's ``scheme`` and rates ``z``."""
-        p = _outage_curve(dist, scheme, config, gamma, z)
+        p = _outage_probabilities(dist, scheme, config, [gamma] * len(z), z)
         rows.extend([f"{config};{label}", zi * factor, pi] for zi, pi in zip(z, p))
 
     if args.figure == "fig2":

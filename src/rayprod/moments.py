@@ -30,7 +30,7 @@ from __future__ import annotations
 import functools
 import math
 
-from .channel import ChannelConfig, _Record
+from .channel import ChannelConfig, _integer, _Record
 from .errors import NumericError, ParameterError, ResourceError
 
 __all__ = [
@@ -40,6 +40,7 @@ __all__ = [
     "mgf_moments",
     "leading_order_moment",
     "moment_set",
+    "variance_recursion",
     "composition_count",
 ]
 
@@ -142,9 +143,7 @@ def exact_moment(config: ChannelConfig, m: int) -> float:
     :func:`leading_order_moment`), and above ``K_min = 200`` or 60,000
     compositions (suggesting :func:`closed_form_moment`).
     """
-    m = int(m)
-    if m < 1:
-        raise ParameterError(f"moment order must be >= 1, got {m}")
+    m = _integer(m, "moment order", 1)
     _order_guard("exact_moment", m, config.k_min)
     count = composition_count(m, config.k_min)
     if count > _COMPOSITION_CAP:
@@ -180,9 +179,7 @@ def closed_form_moment(config: ChannelConfig, m: int) -> float:
     so every term is an integer.  A partition with more rows than ``K_min``
     has a zero factor and is skipped.
     """
-    m = int(m)
-    if m < 1:
-        raise ParameterError(f"moment order must be >= 1, got {m}")
+    m = _integer(m, "moment order", 1)
     _order_guard("closed_form_moment", m)
     total = 0
     for f, hook, rows, contents in _partition_table(m):
@@ -256,9 +253,7 @@ def mgf_moments(config: ChannelConfig, max_m: int) -> list[float]:
     integer partition sum wherever both run.  The cost grows like
     ``K_min**3 max_m**2``, so ``K_min`` above 36 raises :class:`ResourceError`.
     """
-    max_m = int(max_m)
-    if max_m < 0:
-        raise ParameterError(f"max_m must be >= 0, got {max_m}")
+    max_m = _integer(max_m, "max_m", 0)
     _order_guard("mgf_moments", max_m, config.k_min)
     coeffs = _mgf_coefficients(config.canonical_dims, max_m)
     return [_to_float(c * math.factorial(m), config, m) for m, c in enumerate(coeffs)]
@@ -266,9 +261,7 @@ def mgf_moments(config: ChannelConfig, max_m: int) -> list[float]:
 
 def leading_order_moment(config: ChannelConfig, m: int) -> float:
     """Dominant higher-moment term ``prod_i (K_i)_m / m!``."""
-    m = int(m)
-    if m < 1:
-        raise ParameterError(f"moment order must be >= 1, got {m}")
+    m = _integer(m, "moment order", 1)
     dims = config.dims
     total = math.comb(dims[0] + m - 1, m)  # (K0)_m / m!, an integer
     for k in dims[1:]:
@@ -278,10 +271,32 @@ def leading_order_moment(config: ChannelConfig, m: int) -> float:
 
 def moment_set(config: ChannelConfig, q: int) -> MomentSet:
     """Exact moments ``m = 1 .. q`` from the character sum, :func:`closed_form_moment`."""
-    q = int(q)
+    q = _integer(q, "q")
     if not 1 <= q <= _MAX_ORDER:
         raise ParameterError(
             f"q must be in 1..{_MAX_ORDER}, got {q}: "
             f"exact moments exist up to order {_MAX_ORDER}"
         )
     return MomentSet(config, tuple(closed_form_moment(config, m) for m in range(1, q + 1)))
+
+
+def variance_recursion(config: ChannelConfig) -> list[tuple[int, float, float, float]]:
+    """Analytic mean and variance of ``Y_n = X / (K0 * N)`` per prefix.
+
+    Returns rows ``(n, mean, variance, increment)`` for ``n = 1 ..
+    config.n``.  The mean is identically one; the variance grows by
+
+        (1 / (2 K_n)) * (prod_{i<n} (1 + 1/K_i) - prod_{i<n} (1 - 1/K_i))
+
+    at every added factor, so it is strictly increasing in ``n``.
+    """
+    dims = config.dims
+    rows = []
+    variance = 0.0
+    for n in range(1, config.n + 1):
+        plus = math.prod(1.0 + 1.0 / k for k in dims[:n])
+        minus = math.prod(1.0 - 1.0 / k for k in dims[:n])
+        increment = (plus - minus) / (2.0 * dims[n])
+        variance += increment
+        rows.append((n, 1.0, variance, increment))
+    return rows

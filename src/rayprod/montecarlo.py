@@ -63,7 +63,6 @@ __all__ = [
     "SampleSet",
     "Ecdf",
     "sample_frobenius",
-    "variance_recursion",
     "rayleigh_limit_distance",
     "save_samples",
     "load_samples",
@@ -154,7 +153,7 @@ def _check_seed(seed) -> int:
 
 def _philox(seed: int, tag: int) -> np.random.Philox:
     """Independent Philox stream ``tag`` derived from the 64-bit seed."""
-    return np.random.Philox(key=(_check_seed(seed) << 16) | tag)
+    return np.random.Philox(key=(seed << 16) | tag)
 
 
 def _padded(doubles: int) -> int:
@@ -253,34 +252,11 @@ def _frobenius_values(
 
 def sample_frobenius(config: ChannelConfig, count: int, seed: int) -> SampleSet:
     """``count`` seeded draws of ``X = ||H_n ... H_1||_F**2``."""
-    count = _integer(count, "count")
-    if count < 1:
-        raise ParameterError(f"count must be >= 1, got {count}")
+    count = _integer(count, "count", 1)
+    seed = _check_seed(seed)
     values = _frobenius_values(config, 0, count, seed)
     values.setflags(write=False)
-    return SampleSet(config=config, seed=int(seed), values=values)
-
-
-def variance_recursion(config: ChannelConfig) -> list[tuple[int, float, float, float]]:
-    """Analytic mean and variance of ``Y_n = X / (K0 * N)`` per prefix.
-
-    Returns rows ``(n, mean, variance, increment)`` for ``n = 1 ..
-    config.n``.  The mean is identically one; the variance grows by
-
-        (1 / (2 K_n)) * (prod_{i<n} (1 + 1/K_i) - prod_{i<n} (1 - 1/K_i))
-
-    at every added factor, so it is strictly increasing in ``n``.
-    """
-    dims = config.dims
-    rows = []
-    variance = 0.0
-    for n in range(1, config.n + 1):
-        plus = math.prod(1.0 + 1.0 / k for k in dims[:n])
-        minus = math.prod(1.0 - 1.0 / k for k in dims[:n])
-        increment = (plus - minus) / (2.0 * dims[n])
-        variance += increment
-        rows.append((n, 1.0, variance, increment))
-    return rows
+    return SampleSet(config=config, seed=seed, values=values)
 
 
 def rayleigh_limit_distance(
@@ -317,10 +293,13 @@ def rayleigh_limit_distance(
     different sizes are not nested: the per-sample stream layout of the
     triangles depends on the sizes.
     """
-    k0, kn, scatterers, count = int(k0), int(kn), int(scatterers), int(count)
-    if k0 < 1 or kn < 1 or scatterers < 1 or count < 1:
-        raise ParameterError("k0, kn, scatterers and count must all be >= 1")
-    clusters = [int(math.ceil(r * scatterers - 1e-9)) for r in ratios]
+    k0, kn, scatterers, count = (_integer(value, name, 1) for value, name in (
+        (k0, "k0"), (kn, "kn"), (scatterers, "scatterers"), (count, "count")))
+    seed = _check_seed(seed)
+    sizes = [r * scatterers - 1e-9 for r in ratios]
+    if not all(map(math.isfinite, sizes)):  # NaN fails too
+        raise ParameterError(f"ratios must be finite, got {list(ratios)}")
+    clusters = [math.ceil(size) for size in sizes]
     if any(c < k0 for c in clusters):
         raise ParameterError(
             f"ratios {list(ratios)} give clusters {clusters}; each needs at least k0 = {k0}"

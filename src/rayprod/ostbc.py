@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 
-from .channel import ChannelConfig, _Record
+from .channel import ChannelConfig, _integer, _Record
 from .errors import ParameterError
 from .gamma_laguerre import _is_scalar
 
@@ -69,6 +69,8 @@ class OstbcScheme(_Record):
     __slots__ = ("tx_antennas", "symbols", "block_length")  # all int
 
     def _check(self):
+        for key in self.__slots__:
+            object.__setattr__(self, key, _integer(getattr(self, key), key))
         if self.tx_antennas < 1 or self.symbols < 1 or self.block_length < 1:
             raise ParameterError(f"invalid OSTBC parameters {self}")
         if self.symbols > self.block_length:
@@ -89,9 +91,7 @@ def ostbc_catalog(k0: int) -> OstbcScheme:
     three and four antennas use the rate-3/4 designs; five or more fall back
     to the generic half-rate construction (4 symbols over 8 uses).
     """
-    k0 = int(k0)
-    if k0 < 1:
-        raise ParameterError(f"need at least one transmit antenna, got {k0}")
+    k0 = _integer(k0, "k0", 1)
     if k0 == 1:
         return OstbcScheme(1, 1, 1)
     if k0 == 2:

@@ -64,6 +64,15 @@ def test_analytic_commands_run_without_numpy(argv, capsys):
     assert out.stdout == capsys.readouterr().out
 
 
+def test_variance_recursion_runs_without_numpy():
+    # plain math, so it is an analytic name and not a simulator one
+    code = ("import sys; sys.modules['numpy'] = None; import rayprod; "
+            "print(rayprod.variance_recursion(rayprod.ChannelConfig((4, 8, 8, 8, 4)))[-1])")
+    out = _python(code)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == f"{rayprod.variance_recursion(ChannelConfig((4, 8, 8, 8, 4)))[-1]}\n"
+
+
 def test_blocked_numpy_stops_the_sampler():
     # the block above is real: a command that samples fails under it
     out = _python(_WITHOUT_NUMPY, "simulate", "--dims", "2,3", "--samples", "10")
