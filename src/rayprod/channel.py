@@ -4,14 +4,17 @@ A multi-cluster scattering MIMO link with ``K0`` transmit antennas,
 ``n - 1`` scattering clusters of sizes ``K1 .. K(n-1)`` and ``Kn`` receive
 antennas has the effective channel ``P = H_n @ ... @ H_1`` where ``H_i`` is
 ``K_i x K_(i-1)`` with i.i.d. unit-variance complex Gaussian entries.  This
-module only carries the dimension bookkeeping, and the immutable-record
-base that the package's value classes share; the distribution of
+module only carries the dimension bookkeeping, the argument readers that
+every public function shares (integers, seeds, scalars or arrays) and the
+immutable-record base of the package's value classes; the distribution of
 ``X = ||P||_F**2`` lives in :mod:`rayprod.moments`.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
+import operator
 
 from .errors import ParameterError
 
@@ -30,6 +33,46 @@ def _integer(value, name: str, low: int | None = None) -> int:
         bound = "" if low is None else f" >= {low}"
         raise ParameterError(f"{name} must be an integer{bound}, got {value!r}")
     return number
+
+
+def _check_seed(seed, largest: int = 2**64 - 1) -> int:
+    """``seed`` as an int, refused unless an integer in ``[0, largest]``; the
+    Philox key and the sample file hold 64 seed bits, hence the default."""
+    try:
+        value = operator.index(seed)
+    except TypeError:
+        value = -1
+    if not 0 <= value <= largest:
+        raise ParameterError(f"seed must be an integer in [0, {largest}], got {seed!r}")
+    return value
+
+
+def _is_scalar(x) -> bool:
+    """Whether ``x`` is a number or a 0-d array, told without numpy."""
+    # float first: the check for the numbers ABC costs several times more
+    return isinstance(x, (float, numbers.Number)) or getattr(x, "ndim", None) == 0
+
+
+def _elementwise(func, *args):
+    """``func``, which maps lists of floats to a list or a tuple of lists, on
+    scalars or arrays.
+
+    With every argument a scalar, ``func`` gets one-element lists and each
+    list it returns comes back as its one float.  Otherwise the arguments
+    broadcast as float arrays and each list comes back as an array of their
+    shape; numpy is imported here only, for array arguments.
+    """
+    if all(map(_is_scalar, args)):
+        out = func(*[[float(a)] for a in args])
+        return next(zip(*out)) if type(out) is tuple else out[0]
+    import numpy as np
+
+    arrays = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in args))
+    out = func(*(a.ravel().tolist() for a in arrays))
+    shape = arrays[0].shape
+    if type(out) is tuple:
+        return tuple([np.array(column, dtype=float).reshape(shape) for column in out])
+    return np.array(out, dtype=float).reshape(shape)
 
 
 class _Record:

@@ -24,7 +24,7 @@ import os
 import re
 import sys
 
-from .channel import ChannelConfig
+from .channel import ChannelConfig, _check_seed
 from .errors import NumericError, ParameterError, ResourceError
 from .gamma_laguerre import cdf, fit
 from .moments import (
@@ -142,16 +142,14 @@ def _parse_scheme(args, config: ChannelConfig) -> OstbcScheme:
     return ostbc_catalog(config.dims[0])
 
 
-def _resolve_seed(value) -> int:
-    if value is not None:
-        return int(value)
-    env = os.environ.get(_ENV_SEED)
-    if env is not None:
+def _resolve_seed(value, largest: int = 2**64 - 1) -> int:
+    if value is None:
+        env = os.environ.get(_ENV_SEED, "0")
         try:
-            return int(env)
+            value = int(env)
         except ValueError:
             raise ParameterError(f"{_ENV_SEED}={env!r} is not an integer")
-    return 0
+    return _check_seed(value, largest)
 
 
 def _fmt(value) -> str:
@@ -232,6 +230,7 @@ def _cmd_cdf(args) -> int:
     if args.grid_points < 2:
         raise ParameterError(f"--grid-points must be >= 2, got {args.grid_points}")
     config = _parse_dims(args.dims)
+    seed = _resolve_seed(args.seed) if args.simulate else None
     model = fit(moment_set(config, args.q))
     hi = model.mean + 10.0 * model.std
     grid = _linspace(0.0, hi, args.grid_points)
@@ -240,7 +239,6 @@ def _cmd_cdf(args) -> int:
     if args.simulate:
         from .montecarlo import Ecdf, sample_frobenius
 
-        seed = _resolve_seed(args.seed)
         ecdf = Ecdf(sample_frobenius(config, args.samples, seed).values)
         for row, value in zip(rows, ecdf(grid)):
             row.append(value)
@@ -276,12 +274,12 @@ def _cmd_outage(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    config = _parse_dims(args.dims)
+    seed = _resolve_seed(args.seed)
     import numpy as np
 
     from .montecarlo import sample_frobenius, save_samples
 
-    config = _parse_dims(args.dims)
-    seed = _resolve_seed(args.seed)
     samples = sample_frobenius(config, args.samples, seed)
     if args.out:
         try:
@@ -309,15 +307,9 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_reproduce(args) -> int:
-    seed = _resolve_seed(args.seed)
     curves = {"fig2": len(_FIG2_FAMILIES), "fig3": len(_FIG3_CLUSTERS),
               "fig4": len(_FIG4_SCHEMES)}[args.figure]
-    largest = 2**64 - curves
-    if not 0 <= seed <= largest:  # checked before any fit or draw
-        raise ParameterError(
-            f"seed must be an integer in [0, {largest}] for {args.figure}, which "
-            f"draws with seeds seed .. seed + {curves - 1}; got {seed}"
-        )
+    seed = _resolve_seed(args.seed, 2**64 - curves)  # curve k draws with seed + k
     from .montecarlo import Ecdf, sample_frobenius
 
     unit, factor = _capacity_header(args)
@@ -452,7 +444,7 @@ def main(argv=None) -> int:
     except ParameterError as exc:
         print(f"rayprod: parameter error: {exc}", file=sys.stderr)
         return 2
-    except ResourceError as exc:
+    except (ResourceError, ModuleNotFoundError) as exc:  # the sampler needs numpy
         print(f"rayprod: resource error: {exc}", file=sys.stderr)
         return 3
     except MemoryError as exc:

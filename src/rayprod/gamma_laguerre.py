@@ -32,13 +32,12 @@ needs numpy only to take and return arrays.
 from __future__ import annotations
 
 import math
-import numbers
 import sys
 import warnings
 from bisect import bisect_right
 from itertools import accumulate
 
-from .channel import _Record
+from .channel import _elementwise, _Record
 from .errors import FitError, NumericError, ParameterError
 from .moments import MomentSet
 
@@ -102,7 +101,8 @@ class GammaLaguerreModel(_Record):
 
     def cdf(self, x):
         """Regularized CDF at ``x``; see :func:`cdf` for the raw series too."""
-        return cdf(self, x)[1]
+        # one column, not cdf(...)[1]: outage curves call this once per point
+        return _elementwise(lambda xs: [_cdf_point(self, v)[1] for v in xs], x)
 
     def quantile(self, p: float) -> float:
         """Quantile of the regularized CDF; see :func:`cdf_inverse`."""
@@ -395,12 +395,6 @@ def fit(moments: MomentSet) -> GammaLaguerreModel:
     return model.replace(peak_x=peak_x, peak_max=peak_max)
 
 
-def _is_scalar(x) -> bool:
-    """Whether ``x`` is a number or a 0-d array, told without numpy."""
-    # float first: the check for the numbers ABC costs several times more
-    return isinstance(x, (float, numbers.Number)) or getattr(x, "ndim", None) == 0
-
-
 def _cdf_point(model: GammaLaguerreModel, x: float) -> tuple[float, float]:
     """Raw and regularized CDF at one point; see :func:`cdf`."""
     if not x >= 0.0:
@@ -429,17 +423,11 @@ def cdf(model: GammaLaguerreModel, x):
     and invertible.  A scalar ``x`` gives two floats, an array two arrays of
     its shape.
     """
-    if _is_scalar(x):
-        return _cdf_point(model, float(x))
-    import numpy as np  # only array arguments need it
+    def columns(xs):
+        points = [_cdf_point(model, v) for v in xs]
+        return [raw for raw, _ in points], [reg for _, reg in points]
 
-    arr = np.asarray(x, dtype=float)
-    raw, reg = [], []
-    for v in arr.ravel().tolist():
-        r, g = _cdf_point(model, v)
-        raw.append(r)
-        reg.append(g)
-    return np.array(raw).reshape(arr.shape), np.array(reg).reshape(arr.shape)
+    return _elementwise(columns, x)
 
 
 def cdf_inverse(model: GammaLaguerreModel, p: float) -> float:

@@ -51,12 +51,11 @@ on the batch size.
 from __future__ import annotations
 
 import math
-import operator
 import struct
 
 import numpy as np
 
-from .channel import ChannelConfig, _integer, _Record
+from .channel import ChannelConfig, _check_seed, _integer, _Record
 from .errors import ParameterError
 
 __all__ = [
@@ -138,17 +137,6 @@ def _box_muller(u1: np.ndarray, u2: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     t = np.tan(np.pi * u2)
     scale = np.sqrt(-2.0 * np.log(1.0 - u1)) / (1.0 + t * t)
     return scale * (1.0 - t * t), scale * (2.0 * t)
-
-
-def _check_seed(seed) -> int:
-    """``seed`` as an int; anything but an integer in ``[0, 2**64)`` is refused."""
-    try:
-        value = operator.index(seed)
-    except TypeError:
-        value = -1
-    if not 0 <= value < 2**64:
-        raise ParameterError(f"seed must be an integer in [0, 2**64), got {seed!r}")
-    return value
 
 
 def _philox(seed: int, tag: int) -> np.random.Philox:

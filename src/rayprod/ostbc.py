@@ -12,9 +12,8 @@ from __future__ import annotations
 
 import math
 
-from .channel import ChannelConfig, _integer, _Record
+from .channel import ChannelConfig, _elementwise, _integer, _Record
 from .errors import ParameterError
-from .gamma_laguerre import _is_scalar
 
 __all__ = [
     "OstbcScheme",
@@ -26,38 +25,23 @@ __all__ = [
 
 
 def _linear(x_db: float) -> float:
-    """``10 ** (x_db / 10)`` for one float, refused where it is not finite."""
+    """``10 ** (x_db / 10)`` for one float, refused where it is not finite or
+    underflows to zero."""
     try:
         linear = 10.0 ** (x_db / 10.0)
     except OverflowError:
         linear = math.inf
-    if not math.isfinite(linear):
-        raise ParameterError(f"an SNR of {x_db:g} dB has no finite linear value")
+    if not 0.0 < linear < math.inf:  # NaN fails the comparison too
+        side = "finite" if linear else "nonzero"
+        raise ParameterError(f"an SNR of {x_db:g} dB has no {side} linear value")
     return linear
-
-
-def _elementwise(func, *args):
-    """``func``, which maps lists of floats to a list, on scalars or arrays.
-
-    With every argument a scalar, ``func`` gets one-element lists and its one
-    value comes back as a float.  Otherwise the arguments broadcast as float
-    arrays and the values come back as an array of their shape; numpy is
-    imported here only, for array arguments.
-    """
-    if all(map(_is_scalar, args)):
-        return func(*([float(a)] for a in args))[0]
-    import numpy as np
-
-    arrays = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in args))
-    out = func(*(a.ravel().tolist() for a in arrays))
-    return np.array(out, dtype=float).reshape(arrays[0].shape)
 
 
 def db_to_linear(x_db):
     """``10 ** (x_db / 10)``; a scalar gives a float, an array-like an array.
 
     Raises :class:`ParameterError` where the linear value is not finite
-    (above about 3083 dB).
+    (above about 3083 dB) or underflows to zero (below about -3236 dB).
     """
     return _elementwise(lambda xs: [_linear(x) for x in xs], x_db)
 

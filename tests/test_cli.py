@@ -406,6 +406,14 @@ class TestErrorCodes:
                 assert "4000 dB" in err
                 assert err.strip().count("\n") == 0, argv
 
+    def test_snr_underflowing_to_zero(self, capsys):
+        # 10 ** (-4000 / 10) is 0.0, which no longer reaches the SNR check as 0.0
+        for argv in (["outage", "--dims", "2,7,8,4", "--snr-db", "-4000", "--z-grid", "0:1:3"],
+                     ["outage", "--dims", "2,4", "--snr-grid", "-4000:0:3", "--pout", "0.05"]):
+            code, out, err = _run(capsys, argv)
+            assert code == 2 and out == "", argv
+            assert err == "rayprod: parameter error: an SNR of -4000 dB has no nonzero linear value\n"
+
     def test_unwritable_out(self, capsys, tmp_path):
         out = tmp_path / "missing" / "moments.csv"
         code, _, err = _run(capsys, ["moments", "--dims", "2,3", "--out", str(out)])

@@ -74,10 +74,30 @@ def test_variance_recursion_runs_without_numpy():
 
 
 def test_blocked_numpy_stops_the_sampler():
-    # the block above is real: a command that samples fails under it
-    out = _python(_WITHOUT_NUMPY, "simulate", "--dims", "2,3", "--samples", "10")
-    assert out.returncode != 0
-    assert "numpy" in out.stderr
+    # the block above is real: a command that samples exits 3, naming numpy
+    for argv in (["simulate", "--dims", "2,3", "--samples", "10"],
+                 ["cdf", "--dims", "2,3", "--simulate", "--samples", "10"],
+                 ["reproduce", "--figure", "fig4", "--samples", "10", "--out", os.devnull]):
+        out = _python(_WITHOUT_NUMPY, *argv)
+        assert out.returncode == 3 and out.stdout == "", argv
+        assert out.stderr.count("\n") == 1 and "Traceback" not in out.stderr
+        assert out.stderr.startswith("rayprod: resource error:") and "numpy" in out.stderr
+
+
+@pytest.mark.parametrize("argv,env", [
+    (["simulate", "--dims", "2,3", "--seed", "-1"], None),
+    (["cdf", "--dims", "2,3", "--simulate", "--seed", str(2**64)], None),
+    (["simulate", "--dims", "2,3"], "-1"),
+])
+def test_seed_refused_before_numpy(argv, env, monkeypatch):
+    # the seed is read before any fit, draw or numpy import
+    if env is not None:
+        monkeypatch.setenv("RAYPROD_SEED", env)
+    out = _python(_WITHOUT_NUMPY, *argv)
+    got = str(2**64) if env is None and "cdf" in argv else "-1"
+    assert out.returncode == 2 and out.stdout == ""
+    assert out.stderr == ("rayprod: parameter error: seed must be an integer in "
+                          f"[0, {2**64 - 1}], got {got}\n")
 
 
 def test_every_public_name_resolves():
@@ -138,3 +158,17 @@ class TestScalarsAndArrays:
         assert type(db_to_linear(np.float64(3.0))) is float
         assert db_to_linear(np.array(3.0)) == db_to_linear(3.0)
         assert db_to_linear(np.zeros((2, 2))).shape == (2, 2)
+
+    def test_empty_and_0d(self, model):
+        args = (model, self.scheme, self.config)
+        calls = [db_to_linear,
+                 lambda g: outage_probability(*args, g, 0.5),
+                 lambda z: outage_probability(*args, 10.0, z),
+                 lambda g: outage_capacity(*args, g, 0.05)]
+        for call in calls:
+            for empty in (np.array([]), []):
+                out = call(empty)
+                assert isinstance(out, np.ndarray) and out.dtype == float
+                assert out.shape == (0,)
+            got = call(np.array(3.0))
+            assert type(got) is float and got == call(3.0)

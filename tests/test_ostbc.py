@@ -188,6 +188,16 @@ def test_db_without_finite_linear_value():
             db_to_linear([0.0, 4000.0])
 
 
+def test_db_underflow_is_refused():
+    # 10 ** -400 is 0.0 in floats: no positive SNR, so the dB value is named
+    assert 0.0 < db_to_linear(-3236.0) < 1e-323  # subnormal, still positive
+    for x_db in (-4000.0, -3237.0, -math.inf):
+        with pytest.raises(ParameterError, match=f"{x_db:g} dB has no nonzero linear"):
+            db_to_linear(x_db)
+        with pytest.raises(ParameterError, match="no nonzero linear"):
+            db_to_linear([0.0, x_db])
+
+
 def test_mismatched_antennas():
     # a 2-antenna scheme cannot drive a channel with 4 transmit antennas
     model = _model((4, 4))
