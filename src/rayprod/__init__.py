@@ -9,7 +9,7 @@ a seeded Monte-Carlo simulator.
 
 The simulator's names load :mod:`rayprod.montecarlo`, and with it numpy, on
 first use: the moments, the model and the outage maps run on plain floats,
-so ``import rayprod`` loads neither numpy nor scipy.
+so ``import rayprod`` does not load numpy; no module imports scipy.
 """
 
 from .channel import ChannelConfig

@@ -24,7 +24,7 @@ import os
 import re
 import sys
 
-from .channel import ChannelConfig, _check_seed
+from .channel import ChannelConfig, _check_seed, _integer
 from .errors import NumericError, ParameterError, ResourceError
 from .gamma_laguerre import cdf, fit
 from .moments import (
@@ -230,7 +230,8 @@ def _cmd_cdf(args) -> int:
     if args.grid_points < 2:
         raise ParameterError(f"--grid-points must be >= 2, got {args.grid_points}")
     config = _parse_dims(args.dims)
-    seed = _resolve_seed(args.seed) if args.simulate else None
+    if args.simulate:  # read before the fit
+        seed, samples = _resolve_seed(args.seed), _integer(args.samples, "--samples", 1)
     model = fit(moment_set(config, args.q))
     hi = model.mean + 10.0 * model.std
     grid = _linspace(0.0, hi, args.grid_points)
@@ -239,7 +240,7 @@ def _cmd_cdf(args) -> int:
     if args.simulate:
         from .montecarlo import Ecdf, sample_frobenius
 
-        ecdf = Ecdf(sample_frobenius(config, args.samples, seed).values)
+        ecdf = Ecdf(sample_frobenius(config, samples, seed).values)
         for row, value in zip(rows, ecdf(grid)):
             row.append(value)
         header.append("ecdf")
@@ -248,6 +249,10 @@ def _cmd_cdf(args) -> int:
 
 
 def _cmd_outage(args) -> int:
+    rate_curve = args.z_grid is not None or args.snr_db is not None
+    if rate_curve and (args.pout is not None or args.snr_grid is not None):
+        raise ParameterError("--z-grid and --snr-db (a rate curve) do not go with "
+                             "--pout and --snr-grid (an SNR curve)")
     config = _parse_dims(args.dims)
     scheme = _parse_scheme(args, config)
     model = fit(moment_set(config, args.q))
@@ -276,11 +281,12 @@ def _cmd_outage(args) -> int:
 def _cmd_simulate(args) -> int:
     config = _parse_dims(args.dims)
     seed = _resolve_seed(args.seed)
+    count = _integer(args.samples, "--samples", 1)
     import numpy as np
 
     from .montecarlo import sample_frobenius, save_samples
 
-    samples = sample_frobenius(config, args.samples, seed)
+    samples = sample_frobenius(config, count, seed)
     if args.out:
         try:
             save_samples(samples, args.out)
@@ -309,7 +315,10 @@ def _cmd_simulate(args) -> int:
 def _cmd_reproduce(args) -> int:
     curves = {"fig2": len(_FIG2_FAMILIES), "fig3": len(_FIG3_CLUSTERS),
               "fig4": len(_FIG4_SCHEMES)}[args.figure]
+    if args.snr_db is not None and args.figure != "fig2":
+        raise ParameterError(f"--snr-db applies to fig2 only, not {args.figure}")
     seed = _resolve_seed(args.seed, 2**64 - curves)  # curve k draws with seed + k
+    samples = _integer(args.samples, "--samples", 1)
     from .montecarlo import Ecdf, sample_frobenius
 
     unit, factor = _capacity_header(args)
@@ -330,7 +339,7 @@ def _cmd_reproduce(args) -> int:
             config = ChannelConfig((2, k1, k2, 4))
             for q in (2, 6):
                 probability(config, fit(moment_set(config, q)), f"model;q={q}", gamma)
-            ecdf = Ecdf(sample_frobenius(config, args.samples, next(seeds)).values)
+            ecdf = Ecdf(sample_frobenius(config, samples, next(seeds)).values)
             probability(config, ecdf, "mc", gamma)
         reference = ChannelConfig((2, 4))
         probability(reference, fit(moment_set(reference, 2)), "rayleigh", gamma)
@@ -341,7 +350,7 @@ def _cmd_reproduce(args) -> int:
         for clusters in _FIG3_CLUSTERS:
             config = ChannelConfig((4, *([8] * clusters), 4))
             model = fit(moment_set(config, 6))
-            ecdf = Ecdf(sample_frobenius(config, args.samples, next(seeds)).values)
+            ecdf = Ecdf(sample_frobenius(config, samples, next(seeds)).values)
             for snr_db in (0.0, 5.0):
                 gamma = db_to_linear(snr_db)
                 probability(config, model, f"model;snr={snr_db:g}dB", gamma)
@@ -355,7 +364,7 @@ def _cmd_reproduce(args) -> int:
             scheme = ostbc_catalog(k0)
             config = ChannelConfig((k0, 7, 8, 4))
             reference = ChannelConfig((k0, 4))
-            ecdf = Ecdf(sample_frobenius(config, args.samples, next(seeds)).values)
+            ecdf = Ecdf(sample_frobenius(config, samples, next(seeds)).values)
             for curve_config, dist, label in (
                 (config, fit(moment_set(config, 6)), "model"),
                 (reference, fit(moment_set(reference, 6)), "rayleigh"),

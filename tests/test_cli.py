@@ -146,6 +146,14 @@ class TestOutage:
         assert code == 2
         assert "z-grid" in err or "pout" in err
 
+    def test_one_curve_per_call(self, capsys):
+        code, out, err = _run(capsys, ["outage", "--dims", "2,3", "--z-grid", "0:1:3",
+                                       "--snr-db", "10", "--pout", "0.05",
+                                       "--snr-grid", "0:10:2"])
+        assert code == 2 and out == ""
+        assert err == ("rayprod: parameter error: --z-grid and --snr-db (a rate curve) "
+                       "do not go with --pout and --snr-grid (an SNR curve)\n")
+
 
 class TestSimulate:
     def test_summary_and_file(self, capsys, tmp_path):
@@ -289,6 +297,15 @@ class TestReproduce:
                 rebuilt = outage_probability(dist, scheme, config, db_to_linear(snr_db), xs)
             assert rebuilt.tolist() == ys, curve_id
         assert drawn == set(draw_order)
+
+    @pytest.mark.parametrize("figure", ["fig3", "fig4"])
+    def test_snr_db_is_fig2_only(self, capsys, tmp_path, figure):
+        out = tmp_path / f"{figure}.csv"
+        code, stdout, err = _run(capsys, ["reproduce", "--figure", figure, "--snr-db", "30",
+                                          "--samples", "100", "--out", str(out)])
+        assert code == 2 and stdout == ""
+        assert err == f"rayprod: parameter error: --snr-db applies to fig2 only, not {figure}\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("figure,curves", [("fig2", 3), ("fig3", 4), ("fig4", 3)])
     def test_seed_range(self, capsys, monkeypatch, tmp_path, figure, curves):

@@ -6,7 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.special import gammainc
+from scipy.special import gammainc, ndtr
 from scipy.stats import ks_2samp, kstest
 
 import rayprod
@@ -23,7 +23,12 @@ from rayprod import (
     save_samples,
     variance_recursion,
 )
-from rayprod.montecarlo import _box_muller, _frobenius_values, _ks_normal_statistic
+from rayprod.montecarlo import (
+    _box_muller,
+    _frobenius_values,
+    _ks_normal_statistic,
+    _ndtr,
+)
 
 
 def _dense_reference(dims, count, seed):
@@ -332,6 +337,25 @@ class TestRayleighLimit:
         arrays += [rng.standard_t(3, 5000), 1.1 * rng.standard_normal(5000) + 0.05]
         for x in arrays:
             assert _ks_normal_statistic(x) == kstest(x, "norm").statistic
+
+    def test_ndtr_matches_scipy_bit_for_bit(self):
+        # each cephes branch edge (|a| = 1, sqrt(2), 8 sqrt(2), the MAXLOG
+        # cut between 37.5 and 38.5) with the floats on either side
+        edges = [1.0, math.sqrt(2.0), 8.0 * math.sqrt(2.0), 37.5, 38.5, 40.0]
+        points = [np.nextafter(v, toward) for v in edges for toward in (-np.inf, np.inf)]
+        points += edges + [0.0, -0.0, 1e-300, math.nan]
+        a = np.array(points + [-v for v in points])
+        a = np.concatenate([a, np.random.default_rng(25).standard_normal(10**5)])
+        assert np.array_equal(_ndtr(a).view(np.int64), ndtr(a).view(np.int64))
+
+    def test_runs_without_scipy(self):
+        code = ("import sys; sys.modules['scipy'] = None; import rayprod; "
+                "print(repr(rayprod.rayleigh_limit_distance(2, 4, 10, [1.0, 4 / 3], 10**4, 10)))")
+        src = os.path.dirname(os.path.dirname(rayprod.__file__))
+        out = subprocess.run([sys.executable, "-W", "error", "-c", code], capture_output=True,
+                             text=True, check=True, env={**os.environ, "PYTHONPATH": src})
+        # the pin of test_pinned_values, at the same tolerance
+        assert float(out.stdout) == pytest.approx(0.012985677672347262, rel=1e-12)
 
     def test_import_leaves_scipy_stats_out(self):
         code = "import sys, rayprod; print('scipy.stats' in sys.modules)"

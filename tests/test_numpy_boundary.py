@@ -84,6 +84,18 @@ def test_blocked_numpy_stops_the_sampler():
         assert out.stderr.startswith("rayprod: resource error:") and "numpy" in out.stderr
 
 
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--dims", "2,3", "--samples", "0"],
+    ["cdf", "--dims", "2,3", "--simulate", "--samples", "0"],
+    ["reproduce", "--figure", "fig4", "--samples", "0", "--out", os.devnull],
+])
+def test_draw_count_refused_before_numpy(argv):
+    # like the seed, the draw count is read before any fit, draw or numpy import
+    out = _python(_WITHOUT_NUMPY, *argv)
+    assert out.returncode == 2 and out.stdout == ""
+    assert out.stderr == "rayprod: parameter error: --samples must be an integer >= 1, got 0\n"
+
+
 @pytest.mark.parametrize("argv,env", [
     (["simulate", "--dims", "2,3", "--seed", "-1"], None),
     (["cdf", "--dims", "2,3", "--simulate", "--seed", str(2**64)], None),
