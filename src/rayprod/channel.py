@@ -78,15 +78,14 @@ def _elementwise(func, *args):
 class _Record:
     """Immutable record whose fields are its class's ``__slots__``.
 
-    Fields are given by position or by name; ``_defaults`` holds those that
-    may be left out, and ``_check`` validates a new record.  Records of one
-    class compare and hash by their field tuples, and the ``repr`` reads
-    ``Name(field=value, ...)``.  The package imports no :mod:`dataclasses`,
-    whose import and per-class code generation cost milliseconds at start-up.
+    Every field is given, by position or by name, and ``_check`` validates
+    a new record.  Records of one class compare and hash by their field
+    tuples, and the ``repr`` reads ``Name(field=value, ...)``.  The package
+    imports no :mod:`dataclasses`, whose import and per-class code
+    generation cost milliseconds at start-up.
     """
 
     __slots__ = ()
-    _defaults: dict = {}
 
     def __init__(self, *args, **kwargs):
         fields, name = self.__slots__, type(self).__name__
@@ -97,7 +96,7 @@ class _Record:
                 raise TypeError(f"{name}() got an unexpected argument {key!r}")
             if fields.index(key) < len(args):
                 raise TypeError(f"{name}() got multiple values for argument {key!r}")
-        values = {**self._defaults, **dict(zip(fields, args)), **kwargs}
+        values = dict(zip(fields, args)) | kwargs
         for key in fields:
             if key not in values:
                 raise TypeError(f"{name}() missing argument {key!r}")

@@ -3,7 +3,7 @@
 Subcommands
 -----------
 moments     moment table for a channel, all routes side by side
-cdf         fitted CDF curve, optionally overlaid with a simulated ECDF
+cdf         fitted CDF curve, with a seeded ECDF given --samples or --seed
 outage      outage probability vs rate, or outage capacity vs SNR
 simulate    seeded draws of X to a binary file plus summary statistics
 reproduce   multi-curve bundles for the three reference experiments
@@ -142,14 +142,18 @@ def _parse_scheme(args, config: ChannelConfig) -> OstbcScheme:
     return ostbc_catalog(config.dims[0])
 
 
-def _resolve_seed(value, largest: int = 2**64 - 1) -> int:
-    if value is None:
+def _draws(args, curves: int = 1) -> tuple[int, int]:
+    """Checked ``(seed, samples)`` for ``curves`` curves, curve k drawing with seed + k:
+    ``--seed``, else ``RAYPROD_SEED``, else 0, and ``--samples``, else 10**6."""
+    seed = args.seed
+    if seed is None:
         env = os.environ.get(_ENV_SEED, "0")
         try:
-            value = int(env)
+            seed = int(env)
         except ValueError:
             raise ParameterError(f"{_ENV_SEED}={env!r} is not an integer")
-    return _check_seed(value, largest)
+    samples = 10**6 if args.samples is None else args.samples
+    return _check_seed(seed, 2**64 - curves), _integer(samples, "--samples", 1)
 
 
 def _fmt(value) -> str:
@@ -230,14 +234,14 @@ def _cmd_cdf(args) -> int:
     if args.grid_points < 2:
         raise ParameterError(f"--grid-points must be >= 2, got {args.grid_points}")
     config = _parse_dims(args.dims)
-    if args.simulate:  # read before the fit
-        seed, samples = _resolve_seed(args.seed), _integer(args.samples, "--samples", 1)
+    simulate = args.samples is not None or args.seed is not None  # adds the ecdf column
+    seed, samples = _draws(args) if simulate else (None, None)  # read before the fit
     model = fit(moment_set(config, args.q))
     hi = model.mean + 10.0 * model.std
     grid = _linspace(0.0, hi, args.grid_points)
     rows = [[x, *cdf(model, x)] for x in grid]
     header = ["x", "raw_cdf", "regularized_cdf"]
-    if args.simulate:
+    if simulate:
         from .montecarlo import Ecdf, sample_frobenius
 
         ecdf = Ecdf(sample_frobenius(config, samples, seed).values)
@@ -249,39 +253,34 @@ def _cmd_cdf(args) -> int:
 
 
 def _cmd_outage(args) -> int:
+    # the options given name the curve; read them all before the fit
     rate_curve = args.z_grid is not None or args.snr_db is not None
     if rate_curve and (args.pout is not None or args.snr_grid is not None):
         raise ParameterError("--z-grid and --snr-db (a rate curve) do not go with "
                              "--pout and --snr-grid (an SNR curve)")
+    if None in ((args.z_grid, args.snr_db) if rate_curve else (args.pout, args.snr_grid)):
+        raise ParameterError("outage needs either --z-grid with --snr-db, "
+                             "or --pout with --snr-grid")
     config = _parse_dims(args.dims)
     scheme = _parse_scheme(args, config)
-    model = fit(moment_set(config, args.q))
     unit, factor = _capacity_header(args)
-    if args.z_grid is not None:
-        if args.snr_db is None:
-            raise ParameterError("--z-grid needs --snr-db")
-        z = _parse_grid(args.z_grid)
-        gamma = db_to_linear(args.snr_db)
-        p_out = _outage_probabilities(model, scheme, config, [gamma] * len(z), z)
-        rows = [[zi * factor, pi] for zi, pi in zip(z, p_out)]
+    grid = _parse_grid(args.z_grid if rate_curve else args.snr_grid)
+    gammas = [db_to_linear(s) for s in ([args.snr_db] if rate_curve else grid)]
+    model = fit(moment_set(config, args.q))
+    if rate_curve:
+        p_out = _outage_probabilities(model, scheme, config, gammas * len(grid), grid)
+        rows = [[zi * factor, pi] for zi, pi in zip(grid, p_out)]
         _emit([f"capacity_{unit}", "outage_probability"], rows, args.format, args.out)
-        return 0
-    if args.pout is not None:
-        if args.snr_grid is None:
-            raise ParameterError("--pout needs --snr-grid")
-        snr_db = _parse_grid(args.snr_grid)
-        gammas = [db_to_linear(s) for s in snr_db]
+    else:
         c = _outage_capacities(model, scheme, config, gammas, args.pout)
-        rows = [[s, ci * factor] for s, ci in zip(snr_db, c)]
+        rows = [[s, ci * factor] for s, ci in zip(grid, c)]
         _emit(["snr_db", f"outage_capacity_{unit}"], rows, args.format, args.out)
-        return 0
-    raise ParameterError("outage needs either --z-grid with --snr-db, or --pout with --snr-grid")
+    return 0
 
 
 def _cmd_simulate(args) -> int:
     config = _parse_dims(args.dims)
-    seed = _resolve_seed(args.seed)
-    count = _integer(args.samples, "--samples", 1)
+    seed, count = _draws(args)
     import numpy as np
 
     from .montecarlo import sample_frobenius, save_samples
@@ -317,8 +316,7 @@ def _cmd_reproduce(args) -> int:
               "fig4": len(_FIG4_SCHEMES)}[args.figure]
     if args.snr_db is not None and args.figure != "fig2":
         raise ParameterError(f"--snr-db applies to fig2 only, not {args.figure}")
-    seed = _resolve_seed(args.seed, 2**64 - curves)  # curve k draws with seed + k
-    samples = _integer(args.samples, "--samples", 1)
+    seed, samples = _draws(args, curves)
     from .montecarlo import Ecdf, sample_frobenius
 
     unit, factor = _capacity_header(args)
@@ -393,6 +391,10 @@ def _build_parser() -> _Parser:
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--out", help="output path (default: stdout)")
 
+    def add_draws(p, note=""):
+        p.add_argument("--samples", type=int, help=f"draws (default 10**6){note}")
+        p.add_argument("--seed", type=int, help=f"seed (default ${_ENV_SEED} or 0){note}")
+
     p = sub.add_parser("moments", help="moment table, all routes per order")
     add_common(p)
     p.add_argument("--q", type=int, default=6, help="highest order (default 6)")
@@ -403,9 +405,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--q", type=int, default=6,
                    help=f"matched moments, 1..{_MAX_ORDER} (default 6)")
     p.add_argument("--grid-points", type=int, default=201)
-    p.add_argument("--simulate", action="store_true", help="overlay a seeded ECDF")
-    p.add_argument("--samples", type=int, default=10**6)
-    p.add_argument("--seed", type=int, default=None)
+    add_draws(p, "; adds the ecdf column")
     p.set_defaults(func=_cmd_cdf)
 
     p = sub.add_parser("outage", help="outage probability or outage capacity curve")
@@ -423,8 +423,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("simulate", help="seeded draws of X plus summary statistics")
     add_common(p)
-    p.add_argument("--samples", type=int, default=10**6)
-    p.add_argument("--seed", type=int, default=None)
+    add_draws(p)
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser(
@@ -436,8 +435,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--figure", choices=("fig2", "fig3", "fig4"), required=True)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--out", help="output path (default: <figure>.csv)")
-    p.add_argument("--samples", type=int, default=10**6)
-    p.add_argument("--seed", type=int, default=None)
+    add_draws(p)
     p.add_argument("--snr-db", type=_finite_float,
                    help="fig2 transmit SNR in dB (default 10; not stated by the source)")
     p.add_argument("--bits", action="store_true")

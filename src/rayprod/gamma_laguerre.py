@@ -86,10 +86,9 @@ class GammaLaguerreModel(_Record):
         "horner",  # tuple[float, ...]
         "poch_top",  # float
         "shape_terms",  # tuple[float, float, float]
-        "peak_x",  # tuple[float, ...], default ()
-        "peak_max",  # tuple[float, ...], default ()
+        "peak_x",  # tuple[float, ...]
+        "peak_max",  # tuple[float, ...]
     )
-    _defaults = {"peak_x": (), "peak_max": ()}
 
     @property
     def mean(self) -> float:
@@ -385,6 +384,8 @@ def fit(moments: MomentSet) -> GammaLaguerreModel:
         horner=tuple(reversed(coeffs)),
         poch_top=poch,
         shape_terms=_shape_terms(alpha),
+        peak_x=(),
+        peak_max=(),
     )
 
     # Interior stationary points of the raw CDF: positive real roots of the

@@ -67,7 +67,7 @@ class TestCdf:
     def test_curve_with_overlay(self, capsys):
         code, out, _ = _run(capsys, [
             "cdf", "--dims", "2,3,4", "--q", "4", "--grid-points", "41",
-            "--simulate", "--samples", "20000", "--seed", "3",
+            "--samples", "20000", "--seed", "3",
         ])
         assert code == 0
         header, rows = _rows(out)
@@ -78,6 +78,43 @@ class TestCdf:
         assert all(b >= a for a, b in zip(regs, regs[1:]))
         ecdfs = [float(r[3]) for r in rows]
         assert max(abs(a - b) for a, b in zip(regs, ecdfs)) < 0.05
+
+    def test_draw_options_add_the_overlay(self, capsys):
+        code, out, _ = _run(capsys, ["cdf", "--dims", "2,3,4", "--grid-points", "41",
+                                     "--samples", "3000", "--seed", "5"])
+        assert code == 0
+        header, rows = _rows(out)
+        assert header[-1] == "ecdf"
+        ecdf = Ecdf(sample_frobenius(ChannelConfig((2, 3, 4)), 3000, 5).values)
+        assert [float(r[3]) for r in rows] == [ecdf(float(r[0])) for r in rows]
+
+    def test_seed_alone_draws_the_default_count(self, capsys, monkeypatch):
+        counts = []
+
+        def record(config, count, seed):
+            counts.append(count)
+            return sample_frobenius(config, 10, seed)
+
+        monkeypatch.setattr("rayprod.montecarlo.sample_frobenius", record)
+        code, out, _ = _run(capsys, ["cdf", "--dims", "2,3", "--grid-points", "3",
+                                     "--seed", "4"])
+        assert code == 0 and counts == [10**6]
+        assert _rows(out)[0][-1] == "ecdf"
+        # the environment seed is a default, not a request: no overlay
+        monkeypatch.setenv("RAYPROD_SEED", "4")
+        code, out, _ = _run(capsys, ["cdf", "--dims", "2,3", "--grid-points", "3"])
+        assert code == 0 and counts == [10**6]
+        assert _rows(out)[0] == ["x", "raw_cdf", "regularized_cdf"]
+
+    @pytest.mark.parametrize("extra, message", [
+        (["--samples", "0", "--seed", "-1"], "seed must be an integer in"),
+        (["--samples", "0"], "--samples must be an integer >= 1, got 0"),
+        (["--simulate"], "unrecognized arguments: --simulate"),
+    ])
+    def test_draw_options_are_read_or_refused(self, capsys, extra, message):
+        code, out, err = _run(capsys, ["cdf", "--dims", "2,3", "--grid-points", "3", *extra])
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and message in err
 
 
 class TestOutage:
@@ -153,6 +190,23 @@ class TestOutage:
         assert code == 2 and out == ""
         assert err == ("rayprod: parameter error: --z-grid and --snr-db (a rate curve) "
                        "do not go with --pout and --snr-grid (an SNR curve)\n")
+
+    @pytest.mark.parametrize("extra, message", [
+        (["--z-grid", "0:1:3"], "outage needs either"),
+        (["--snr-db", "10"], "outage needs either"),
+        (["--pout", "0.05"], "outage needs either"),
+        (["--snr-grid", "0:10:2"], "outage needs either"),
+        (["--z-grid", "0:1:3", "--pout", "0.05"], "do not go with"),
+        (["--z-grid", "0:1", "--snr-db", "10"], "cannot parse grid '0:1'"),
+    ])
+    def test_options_checked_before_the_fit(self, capsys, monkeypatch, extra, message):
+        def unreachable(*args):
+            raise AssertionError("moment_set ran")
+
+        monkeypatch.setattr("rayprod.cli.moment_set", unreachable)
+        code, out, err = _run(capsys, ["outage", "--dims", "2,3", *extra])
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and message in err
 
 
 class TestSimulate:

@@ -76,7 +76,7 @@ def test_variance_recursion_runs_without_numpy():
 def test_blocked_numpy_stops_the_sampler():
     # the block above is real: a command that samples exits 3, naming numpy
     for argv in (["simulate", "--dims", "2,3", "--samples", "10"],
-                 ["cdf", "--dims", "2,3", "--simulate", "--samples", "10"],
+                 ["cdf", "--dims", "2,3", "--samples", "10"],
                  ["reproduce", "--figure", "fig4", "--samples", "10", "--out", os.devnull]):
         out = _python(_WITHOUT_NUMPY, *argv)
         assert out.returncode == 3 and out.stdout == "", argv
@@ -86,7 +86,7 @@ def test_blocked_numpy_stops_the_sampler():
 
 @pytest.mark.parametrize("argv", [
     ["simulate", "--dims", "2,3", "--samples", "0"],
-    ["cdf", "--dims", "2,3", "--simulate", "--samples", "0"],
+    ["cdf", "--dims", "2,3", "--samples", "0"],
     ["reproduce", "--figure", "fig4", "--samples", "0", "--out", os.devnull],
 ])
 def test_draw_count_refused_before_numpy(argv):
@@ -98,7 +98,7 @@ def test_draw_count_refused_before_numpy(argv):
 
 @pytest.mark.parametrize("argv,env", [
     (["simulate", "--dims", "2,3", "--seed", "-1"], None),
-    (["cdf", "--dims", "2,3", "--simulate", "--seed", str(2**64)], None),
+    (["cdf", "--dims", "2,3", "--seed", str(2**64)], None),
     (["simulate", "--dims", "2,3"], "-1"),
 ])
 def test_seed_refused_before_numpy(argv, env, monkeypatch):

@@ -101,8 +101,7 @@ def test_sample_set_compares_by_identity():
 
 
 def test_replace_builds_a_checked_copy():
-    model = GammaLaguerreModel(1.0, 1.0, 1, (), None, (), 0, 1.0, (), 1.0, (0.0, 0.0, 0.0))
-    assert model.peak_x == model.peak_max == ()  # the defaults
+    model = GammaLaguerreModel(1.0, 1.0, 1, (), None, (), 0, 1.0, (), 1.0, (0.0, 0.0, 0.0), (), ())
     moved = model.replace(peak_x=(2.0,), peak_max=(0.5,))
     assert (moved.peak_x, moved.peak_max, moved.alpha) == ((2.0,), (0.5,), 1.0)
     assert model.peak_x == ()
