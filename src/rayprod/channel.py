@@ -76,19 +76,21 @@ def _elementwise(func, *args):
 
 
 class _Record:
-    """Immutable record whose fields are its class's ``__slots__``.
+    """Immutable record built from the fields its class lists in ``_fields``.
 
     Every field is given, by position or by name, and ``_check`` validates
-    a new record.  Records of one class compare and hash by their field
-    tuples, and the ``repr`` reads ``Name(field=value, ...)``.  The package
-    imports no :mod:`dataclasses`, whose import and per-class code
-    generation cost milliseconds at start-up.
+    a new record; it may also set the attributes a class derives from its
+    fields, which sit in its ``__slots__`` after them.  Records of one class
+    compare and hash by their field tuples, and the ``repr`` reads
+    ``Name(field=value, ...)``.  The package imports no :mod:`dataclasses`,
+    whose import and per-class code generation cost milliseconds at
+    start-up.
     """
 
-    __slots__ = ()
+    __slots__ = _fields = ()
 
     def __init__(self, *args, **kwargs):
-        fields, name = self.__slots__, type(self).__name__
+        fields, name = self._fields, type(self).__name__
         if len(args) > len(fields):
             raise TypeError(f"{name}() takes {len(fields)} arguments, got {len(args)}")
         for key in kwargs:
@@ -107,11 +109,7 @@ class _Record:
         """Validate the fields; a record with preconditions overrides this."""
 
     def _values(self) -> tuple:
-        return tuple(getattr(self, key) for key in self.__slots__)
-
-    def replace(self, **changes):
-        """A copy with ``changes`` applied, built and checked like a new record."""
-        return type(self)(**{key: getattr(self, key) for key in self.__slots__} | changes)
+        return tuple(getattr(self, key) for key in self._fields)
 
     def __setattr__(self, key, value):
         raise AttributeError(f"cannot assign to field {key!r}")
@@ -131,7 +129,7 @@ class _Record:
         return type(self), self._values()
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{key}={getattr(self, key)!r}" for key in self.__slots__)
+        fields = ", ".join(f"{key}={getattr(self, key)!r}" for key in self._fields)
         return f"{type(self).__qualname__}({fields})"
 
 
@@ -144,7 +142,7 @@ class ChannelConfig(_Record):
     the internal canonical rotation used by the moment formulas.
     """
 
-    __slots__ = ("dims",)  # tuple[int, ...]
+    __slots__ = _fields = ("dims",)  # tuple[int, ...]
 
     def _check(self):
         dims = tuple(_integer(k, "each dimension", 1) for k in self.dims)

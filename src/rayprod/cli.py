@@ -26,7 +26,7 @@ import sys
 
 from .channel import ChannelConfig, _check_seed, _integer
 from .errors import NumericError, ParameterError, ResourceError
-from .gamma_laguerre import cdf, fit
+from .gamma_laguerre import _CDF_FLOOR, _check_probability, cdf, fit
 from .moments import (
     _MAX_ORDER,
     closed_form_moment,
@@ -37,6 +37,7 @@ from .moments import (
 )
 from .ostbc import (
     OstbcScheme,
+    _check_rate,
     _outage_capacities,
     _outage_probabilities,
     db_to_linear,
@@ -261,11 +262,15 @@ def _cmd_outage(args) -> int:
     if None in ((args.z_grid, args.snr_db) if rate_curve else (args.pout, args.snr_grid)):
         raise ParameterError("outage needs either --z-grid with --snr-db, "
                              "or --pout with --snr-grid")
+    grid = _parse_grid(args.z_grid if rate_curve else args.snr_grid)
+    if rate_curve:
+        _check_rate(grid[0])  # the grid ascends from its start
+    else:
+        _check_probability(args.pout)
+    gammas = [db_to_linear(s) for s in ([args.snr_db] if rate_curve else grid)]
     config = _parse_dims(args.dims)
     scheme = _parse_scheme(args, config)
     unit, factor = _capacity_header(args)
-    grid = _parse_grid(args.z_grid if rate_curve else args.snr_grid)
-    gammas = [db_to_linear(s) for s in ([args.snr_db] if rate_curve else grid)]
     model = fit(moment_set(config, args.q))
     if rate_curve:
         p_out = _outage_probabilities(model, scheme, config, gammas * len(grid), grid)
@@ -403,7 +408,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("cdf", help="fitted CDF curve on a uniform grid")
     add_common(p)
     p.add_argument("--q", type=int, default=6,
-                   help=f"matched moments, 1..{_MAX_ORDER} (default 6)")
+                   help=f"matched moments, 2..{_MAX_ORDER} (default 6)")
     p.add_argument("--grid-points", type=int, default=201)
     add_draws(p, "; adds the ecdf column")
     p.set_defaults(func=_cmd_cdf)
@@ -411,11 +416,11 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("outage", help="outage probability or outage capacity curve")
     add_common(p)
     p.add_argument("--q", type=int, default=6,
-                   help=f"matched moments, 1..{_MAX_ORDER} (default 6)")
+                   help=f"matched moments, 2..{_MAX_ORDER} (default 6)")
     p.add_argument("--snr-db", type=_finite_float, help="transmit SNR in dB (with --z-grid)")
     p.add_argument("--snr-grid", help="SNR grid start:stop:count in dB (with --pout)")
     p.add_argument("--z-grid", help="rate grid start:stop:count in nats/s/Hz")
-    p.add_argument("--pout", type=float, help="target outage probability in (1e-14, 1)")
+    p.add_argument("--pout", type=float, help=f"target outage probability in ({_CDF_FLOOR:g}, 1)")
     p.add_argument("--rate", help="explicit code rate S/T (default: catalog)")
     p.add_argument("--bits", action="store_true",
                    help="report capacity in bits/s/Hz instead of nats/s/Hz")

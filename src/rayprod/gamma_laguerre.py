@@ -4,7 +4,7 @@ The approximation is ``F(x) ~= P(alpha, x/beta) + eps(x)`` with ``P`` the
 regularized lower incomplete Gamma function (evaluated here a point at a
 time by one plain-Python loop, :func:`_reg_lower_gamma`), ``(alpha, beta)``
 matched to the first two moments, and ``eps`` a finite correction series
-driven by moments three and up.  :func:`fit` folds the whole series into
+driven by moments three and up.  The model folds the whole series into
 one incomplete Gamma at the top shape plus a polynomial (see
 :func:`_raw_cdf`) and stores the prefactor's per-shape constants, so a CDF
 point costs one prefactor (two :mod:`math` scalar calls), one Horner pass
@@ -24,7 +24,7 @@ clamp.  The running maximum is exact: the derivative of the raw CDF is
 ``u**(alpha-1) * exp(-u)`` times a polynomial of degree q in ``u = x/beta``,
 so every interior local maximum sits at a positive real root of that
 polynomial, and the supremum over ``[0, x]`` is the larger of the raw value
-at ``x`` and the raw values at the roots below ``x``.  :func:`fit` finds
+at ``x`` and the raw values at the roots below ``x``.  The model finds
 those roots in plain Python (:func:`_positive_real_roots`), so the module
 needs numpy only to take and return arrays.
 """
@@ -65,30 +65,85 @@ _STIRLING_MIN_A = 10.0
 class GammaLaguerreModel(_Record):
     """Fitted CDF model; immutable and safe to share across threads.
 
-    ``weights_scaled[i] = (alpha)_i * Gamma(alpha) * w_i``, with ``w_i``
-    the textbook correction weights, are the well-conditioned quantities
-    the basis weights come from.
+    The one field is ``source_moments``; building the model derives every
+    other attribute from it once.  ``weights_scaled[i] = (alpha)_i *
+    Gamma(alpha) * w_i``, with ``w_i`` the textbook correction weights, are
+    the well-conditioned quantities the basis weights come from.
     ``top``, ``total``, ``horner`` and ``poch_top`` are the folded series
     :func:`_raw_cdf` evaluates, ``shape_terms`` the constants of its
     prefactor (:func:`_shape_terms` at ``alpha``), and ``peak_max[i]`` the
     largest raw value at the interior peaks ``peak_x[:i + 1]``.
     """
 
-    __slots__ = (
-        "alpha",  # float
-        "beta",  # float
-        "q",  # int
-        "weights_scaled",  # tuple[float, ...]
-        "source_moments",  # MomentSet
-        "eps_basis",  # tuple[float, ...]
-        "top",  # int
-        "total",  # float
-        "horner",  # tuple[float, ...]
-        "poch_top",  # float
-        "shape_terms",  # tuple[float, float, float]
-        "peak_x",  # tuple[float, ...]
-        "peak_max",  # tuple[float, ...]
-    )
+    _fields = ("source_moments",)  # MomentSet
+    # ints q and top; floats alpha, beta, total and poch_top; float tuples the rest
+    __slots__ = (*_fields, "alpha", "beta", "q", "weights_scaled", "eps_basis", "top",
+                 "total", "horner", "poch_top", "shape_terms", "peak_x", "peak_max")
+
+    def _check(self):
+        """Derive the fitted series and its peaks from the moments; see :func:`fit`."""
+        moments = self.source_moments
+        if moments.q < 2:
+            raise ParameterError("fit needs at least the first two moments")
+        e1 = moments.values[0]
+        var = moments.variance
+        if not var > 0:
+            raise FitError(f"nonpositive variance {var} from moments {moments.values[:2]}")
+        alpha = float(e1 * e1 / var)
+        beta = float(var / e1)
+
+        q = moments.q
+        # mu_l - 1 with mu_l = E[X^l] / ((alpha)_l beta^l); exact zero when the
+        # moments coincide with the Gamma moments (single-factor channels).
+        mu_excess = [0.0] * (q + 1)
+        gamma_l = 1.0
+        for l in range(1, q + 1):
+            gamma_l *= (alpha + l - 1) * beta
+            mu_excess[l] = (moments.values[l - 1] - gamma_l) / gamma_l
+
+        weights_scaled = [0.0] * (q + 1)
+        weights_scaled[0] = 1.0
+        poch = 1.0
+        for i in range(1, q + 1):
+            poch *= alpha + i - 1
+            s_i = math.fsum(
+                (-1.0) ** l * math.comb(i, l) * mu_excess[l] for l in range(1, i + 1)
+            )
+            weights_scaled[i] = poch * s_i
+
+        # Collapse the double correction sum into one basis weight per Gamma
+        # term: eps(x) = sum_j eps_basis[j] * P(alpha + j, x/beta).
+        eps_basis = [0.0] * (q + 1)
+        for j in range(q + 1):
+            acc = 0.0
+            for i in range(max(3, j), q + 1):
+                acc += weights_scaled[i] / math.factorial(i - j)
+            sign = 1.0 if j % 2 == 0 else -1.0
+            eps_basis[j] = sign * acc / math.factorial(j)
+        eps_basis = tuple(eps_basis)
+
+        # Fold the series: raw = total * P(alpha + top, u) + pref(alpha, u) * S(u)
+        # with S(u) = sum_{k<top} c_k u^k, c_k = (1 + sum_{j<=k} b_j) / (alpha)_(k+1).
+        top = max((j for j, b in enumerate(eps_basis) if b != 0.0), default=0)
+        total = 1.0
+        coeffs = []
+        poch = 1.0
+        for k, b in enumerate(eps_basis):
+            if b != 0.0:
+                total += b
+            if k < top:
+                poch *= alpha + k
+                coeffs.append(total / poch)
+        # Interior stationary points of the raw CDF: positive real roots of the
+        # derivative polynomial.  All of them become running-max candidates.
+        peak_x = tuple(beta * u for u in _positive_real_roots(_derivative_poly(alpha, eps_basis)))
+        for key, value in dict(
+                alpha=alpha, beta=beta, q=q, weights_scaled=tuple(weights_scaled),
+                eps_basis=eps_basis, top=top, total=total, horner=tuple(reversed(coeffs)),
+                poch_top=poch, shape_terms=_shape_terms(alpha), peak_x=peak_x).items():
+            object.__setattr__(self, key, value)
+        peaks = (_raw_cdf(self, x) for x in peak_x)  # reads the series just set
+        object.__setattr__(self, "peak_max", tuple(accumulate(peaks, max)))
 
     @property
     def mean(self) -> float:
@@ -193,7 +248,7 @@ def _raw_cdf(model: GammaLaguerreModel, x: float) -> float:
     ``P(alpha + j, u)`` recurs down to ``P(alpha + top, u)`` plus the positive
     terms ``pref u^k / (alpha)_(k+1)``, ``j <= k < top``, with ``pref`` the
     prefactor at ``alpha``; summed over the basis, the terms are the
-    polynomial ``S`` whose coefficients :func:`fit` precomputes.
+    polynomial ``S`` whose coefficients the model precomputes.
     """
     u = x / model.beta
     if u > _MAX:  # the clamp keeps u = inf (P = 1, zero prefactor) out of 0 * inf
@@ -309,91 +364,23 @@ def _positive_real_roots(coeffs: list[float]) -> list[float]:
 
 
 def fit(moments: MomentSet) -> GammaLaguerreModel:
-    """Match a Gamma base to the first two moments and weight the corrections.
+    """The :class:`GammaLaguerreModel` of ``moments``, with a
+    :class:`RuntimeWarning` to the caller for each correction weight large
+    enough to make the series unreliable.
 
     Raises :class:`FitError` when the implied variance is not positive.
     """
-    if moments.q < 2:
-        raise ParameterError("fit needs at least the first two moments")
-    e1 = moments.values[0]
-    var = moments.variance
-    if not var > 0:
-        raise FitError(f"nonpositive variance {var} from moments {moments.values[:2]}")
-    alpha = float(e1 * e1 / var)
-    beta = float(var / e1)
-
-    q = moments.q
-    # mu_l - 1 with mu_l = E[X^l] / ((alpha)_l beta^l); exact zero when the
-    # moments coincide with the Gamma moments (single-factor channels).
-    mu_excess = [0.0] * (q + 1)
-    gamma_l = 1.0
-    for l in range(1, q + 1):
-        gamma_l *= (alpha + l - 1) * beta
-        mu_excess[l] = (moments.values[l - 1] - gamma_l) / gamma_l
-
-    weights_scaled = [0.0] * (q + 1)
-    weights_scaled[0] = 1.0
-    poch = 1.0
-    for i in range(1, q + 1):
-        poch *= alpha + i - 1
-        s_i = math.fsum(
-            (-1.0) ** l * math.comb(i, l) * mu_excess[l] for l in range(1, i + 1)
-        )
-        weights_scaled[i] = poch * s_i
-        if abs(weights_scaled[i]) > _WEIGHT_WARN_MAGNITUDE:
+    model = GammaLaguerreModel(moments)
+    for i, weight in enumerate(model.weights_scaled):
+        if abs(weight) > _WEIGHT_WARN_MAGNITUDE:
             warnings.warn(
                 f"correction weight {i} has large magnitude "
-                f"{weights_scaled[i]:.3e}; the moment-matched series may be "
+                f"{weight:.3e}; the moment-matched series may be "
                 f"unreliable for dims {moments.config.dims}",
                 RuntimeWarning,
                 stacklevel=2,
             )
-
-    # Collapse the double correction sum into one basis weight per Gamma term:
-    # eps(x) = sum_j eps_basis[j] * P(alpha + j, x/beta).
-    eps_basis = [0.0] * (q + 1)
-    for j in range(q + 1):
-        acc = 0.0
-        for i in range(max(3, j), q + 1):
-            acc += weights_scaled[i] / math.factorial(i - j)
-        sign = 1.0 if j % 2 == 0 else -1.0
-        eps_basis[j] = sign * acc / math.factorial(j)
-    eps_basis = tuple(eps_basis)
-
-    # Fold the series: raw = total * P(alpha + top, u) + pref(alpha, u) * S(u)
-    # with S(u) = sum_{k<top} c_k u^k, c_k = (1 + sum_{j<=k} b_j) / (alpha)_(k+1).
-    top = max((j for j, b in enumerate(eps_basis) if b != 0.0), default=0)
-    total = 1.0
-    coeffs = []
-    poch = 1.0
-    for k, b in enumerate(eps_basis):
-        if b != 0.0:
-            total += b
-        if k < top:
-            poch *= alpha + k
-            coeffs.append(total / poch)
-    model = GammaLaguerreModel(
-        alpha=alpha,
-        beta=beta,
-        q=q,
-        weights_scaled=tuple(weights_scaled),
-        source_moments=moments,
-        eps_basis=eps_basis,
-        top=top,
-        total=total,
-        horner=tuple(reversed(coeffs)),
-        poch_top=poch,
-        shape_terms=_shape_terms(alpha),
-        peak_x=(),
-        peak_max=(),
-    )
-
-    # Interior stationary points of the raw CDF: positive real roots of the
-    # derivative polynomial.  All of them become running-max candidates.
-    candidates = _positive_real_roots(_derivative_poly(alpha, eps_basis))
-    peak_x = tuple(beta * u for u in candidates)
-    peak_max = tuple(accumulate((_raw_cdf(model, xp) for xp in peak_x), max))
-    return model.replace(peak_x=peak_x, peak_max=peak_max)
+    return model
 
 
 def _cdf_point(model: GammaLaguerreModel, x: float) -> tuple[float, float]:
@@ -431,6 +418,12 @@ def cdf(model: GammaLaguerreModel, x):
     return _elementwise(columns, x)
 
 
+def _check_probability(p: float) -> None:
+    """Refuse a ``p`` the model has no quantile for; see :func:`cdf_inverse`."""
+    if not _CDF_FLOOR < p < 1.0:
+        raise ParameterError(f"the model quantile needs {_CDF_FLOOR:g} < p < 1, got {p}")
+
+
 def cdf_inverse(model: GammaLaguerreModel, p: float) -> float:
     """Quantile of the regularized CDF at ``1e-14 < p < 1``, by bisection.
 
@@ -438,8 +431,7 @@ def cdf_inverse(model: GammaLaguerreModel, p: float) -> float:
     part in ``1e15`` wide; a quantile below the smallest double raises
     :class:`NumericError`.
     """
-    if not _CDF_FLOOR < p < 1.0:
-        raise ParameterError(f"the model quantile needs {_CDF_FLOOR:g} < p < 1, got {p}")
+    _check_probability(p)
     tol = min(_INVERSE_TOL_P, _INVERSE_TOL_REL * p)
     hi = float(model.mean + 10.0 * model.std)
     for _ in range(_MAX_BRACKET_DOUBLINGS):

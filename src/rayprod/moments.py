@@ -54,7 +54,7 @@ _K_MIN_BOUND = {"exact_moment": 200, "mgf_moments": 36}
 class MomentSet(_Record):
     """Moments ``E[X^1] .. E[X^q]`` of ``X`` for one channel."""
 
-    __slots__ = ("config", "values")  # ChannelConfig, tuple[float, ...]
+    __slots__ = _fields = ("config", "values")  # ChannelConfig, tuple[float, ...]
 
     def _check(self):
         if len(self.values) < 1:

@@ -78,7 +78,7 @@ class SampleSet(_Record):
     """Seeded draws of ``X = ||P||_F**2`` for one channel configuration;
     compared by identity, and its ``repr`` leaves the draws out."""
 
-    __slots__ = ("config", "seed", "values")  # ChannelConfig, int, np.ndarray
+    __slots__ = _fields = ("config", "seed", "values")  # ChannelConfig, int, np.ndarray
     __eq__ = object.__eq__
     __hash__ = object.__hash__
 

@@ -50,10 +50,10 @@ class OstbcScheme(_Record):
     """An orthogonal design sending ``symbols`` symbols over ``block_length``
     uses of ``tx_antennas`` transmit antennas."""
 
-    __slots__ = ("tx_antennas", "symbols", "block_length")  # all int
+    __slots__ = _fields = ("tx_antennas", "symbols", "block_length")  # all int
 
     def _check(self):
-        for key in self.__slots__:
+        for key in self._fields:
             object.__setattr__(self, key, _integer(getattr(self, key), key))
         if self.tx_antennas < 1 or self.symbols < 1 or self.block_length < 1:
             raise ParameterError(f"invalid OSTBC parameters {self}")
@@ -106,13 +106,17 @@ def _snr_denominator(
     return r, r * config.dims[0] * config.normalization
 
 
+def _check_rate(z: float) -> None:
+    if not z >= 0:  # NaN fails the comparison too
+        raise ParameterError(f"rate z must be >= 0, got {z}")
+
+
 def _outage_probabilities(dist, scheme, config, gammas: list[float], zs: list[float]):
     """:func:`outage_probability` at each pair of floats ``(gamma, z)``, as a list."""
     r, denominator = _snr_denominator(scheme, config, gammas)
     out = []
     for gamma, z in zip(gammas, zs):
-        if not z >= 0:  # NaN fails the comparison too
-            raise ParameterError(f"rate z must be >= 0, got {z}")
+        _check_rate(z)
         try:
             growth = math.expm1(z / r)
         except OverflowError:

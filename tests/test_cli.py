@@ -198,6 +198,11 @@ class TestOutage:
         (["--snr-grid", "0:10:2"], "outage needs either"),
         (["--z-grid", "0:1:3", "--pout", "0.05"], "do not go with"),
         (["--z-grid", "0:1", "--snr-db", "10"], "cannot parse grid '0:1'"),
+        (["--pout", "0", "--snr-grid", "0:10:3"], "needs 1e-14 < p < 1, got 0.0"),
+        (["--pout", "1", "--snr-grid", "0:10:3"], "needs 1e-14 < p < 1, got 1.0"),
+        (["--pout", "1e-20", "--snr-grid", "0:10:3"], "needs 1e-14 < p < 1, got 1e-20"),
+        (["--pout", "nan", "--snr-grid", "0:10:3"], "needs 1e-14 < p < 1, got nan"),
+        (["--snr-db", "10", "--z-grid", "-1:1:3"], "rate z must be >= 0, got -1.0"),
     ])
     def test_options_checked_before_the_fit(self, capsys, monkeypatch, extra, message):
         def unreachable(*args):

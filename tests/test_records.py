@@ -4,11 +4,13 @@
 compare and hash by their fields; ``SampleSet`` compares by identity.  All
 five refuse assignment and bad constructor arguments, survive pickle and
 ``deepcopy``, and print the ``Name(field=value, ...)`` repr that error
-messages carry.
+messages carry.  ``GammaLaguerreModel`` has one field, ``source_moments``,
+and derives every other attribute from it when it is built.
 """
 
 import copy
 import pickle
+import warnings
 
 import numpy as np
 import pytest
@@ -70,9 +72,8 @@ def test_fields_cannot_be_assigned_or_deleted():
     (lambda: MomentSet(ChannelConfig((2, 3))), "missing argument 'values'"),
     (lambda: OstbcScheme(2, 2), "missing argument 'block_length'"),
     (lambda: OstbcScheme(2, 2, 2, 2), "takes 3 arguments, got 4"),
-    (lambda: GammaLaguerreModel(alpha=1.0), "missing argument 'beta'"),
+    (lambda: GammaLaguerreModel(), "missing argument 'source_moments'"),
     (lambda: SampleSet(ChannelConfig((2, 3)), 0), "missing argument 'values'"),
-    (lambda: ChannelConfig((2, 3)).replace(dimz=(2, 3)), "unexpected argument 'dimz'"),
 ])
 def test_bad_arguments_raise_type_error(build, message):
     with pytest.raises(TypeError, match=message):
@@ -100,14 +101,42 @@ def test_sample_set_compares_by_identity():
     assert len({a, b}) == 2
 
 
-def test_replace_builds_a_checked_copy():
-    model = GammaLaguerreModel(1.0, 1.0, 1, (), None, (), 0, 1.0, (), 1.0, (0.0, 0.0, 0.0), (), ())
-    moved = model.replace(peak_x=(2.0,), peak_max=(0.5,))
-    assert (moved.peak_x, moved.peak_max, moved.alpha) == ((2.0,), (0.5,), 1.0)
-    assert model.peak_x == ()
-    assert ChannelConfig((2, 3)).replace(dims=[4.0, 5]) == ChannelConfig((4, 5))
+def test_constructor_normalizes_and_checks_the_fields():
+    assert ChannelConfig([4.0, 5]) == ChannelConfig((4, 5))
     with pytest.raises(ParameterError, match="code rate above one"):
-        OstbcScheme(2, 2, 2).replace(symbols=3)
+        OstbcScheme(2, 3, 2)
+
+
+_DERIVED = ("alpha", "beta", "q", "weights_scaled", "eps_basis", "top", "total",
+            "horner", "poch_top", "shape_terms", "peak_x", "peak_max")
+
+
+def _derived(model):
+    return [getattr(model, key) for key in _DERIVED]
+
+
+def test_model_is_built_from_its_moments_alone():
+    moments = moment_set(ChannelConfig((4, 8, 8, 8, 4)), 6)
+    model, fitted = GammaLaguerreModel(moments), fit(moments)
+    assert model == fitted and _derived(model) == _derived(fitted)
+    assert model.peak_x and model.top == 6
+    with pytest.raises(TypeError, match="takes 1 arguments, got 13"):
+        GammaLaguerreModel(1.0, 1.0, 1, (), moments, (), 0, 1.0, (), 1.0,
+                           (0.0, 0.0, 0.0), (), ())
+    for key in ("alpha", "peak_max"):
+        with pytest.raises(AttributeError, match=f"cannot assign to field '{key}'"):
+            setattr(model, key, ())
+
+
+def test_model_clones_rederive_without_warning():
+    with pytest.warns(RuntimeWarning, match="large magnitude"):
+        model = fit(moment_set(ChannelConfig((8, 8)), 12))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        clones = [pickle.loads(pickle.dumps(model)), copy.deepcopy(model)]
+    for clone in clones:
+        assert clone == model and clone is not model
+        assert _derived(clone) == _derived(model)
 
 
 def test_pinned_reprs():
@@ -119,10 +148,8 @@ def test_pinned_reprs():
     assert repr(OstbcScheme(4, 3, 4)) == str(OstbcScheme(4, 3, 4)) == (
         "OstbcScheme(tx_antennas=4, symbols=3, block_length=4)")
     assert repr(fit(moment_set(ChannelConfig((1, 1)), 2))) == (
-        "GammaLaguerreModel(alpha=1.0, beta=1.0, q=2, weights_scaled=(1.0, 0.0, 0.0), "
-        "source_moments=MomentSet(config=ChannelConfig(dims=(1, 1)), values=(1.0, 2.0)), "
-        "eps_basis=(0.0, -0.0, 0.0), top=0, total=1.0, horner=(), poch_top=1.0, "
-        "shape_terms=(0.0, 0.0, 0.0), peak_x=(), peak_max=())")
+        "GammaLaguerreModel(source_moments=MomentSet(config=ChannelConfig(dims=(1, 1)), "
+        "values=(1.0, 2.0)))")
     # the draws stay out of the repr
     assert repr(sample_frobenius(ChannelConfig((2, 3)), 4, 5)) == (
         "SampleSet(config=ChannelConfig(dims=(2, 3)), seed=5)")
