@@ -12,65 +12,16 @@ first use: the moments, the model and the outage maps run on plain floats,
 so ``import rayprod`` does not load numpy; no module imports scipy.
 """
 
-from .channel import ChannelConfig
-from .errors import (
-    FitError,
-    NumericError,
-    ParameterError,
-    RayprodError,
-    ResourceError,
-)
-from .gamma_laguerre import GammaLaguerreModel, cdf, cdf_inverse, fit
-from .moments import (
-    MomentSet,
-    closed_form_moment,
-    exact_moment,
-    leading_order_moment,
-    mgf_moments,
-    moment_set,
-    variance_recursion,
-)
-from .ostbc import (
-    OstbcScheme,
-    db_to_linear,
-    ostbc_catalog,
-    outage_capacity,
-    outage_probability,
-)
+from . import channel, errors, gamma_laguerre, moments, ostbc
+from .channel import *
+from .errors import *
+from .gamma_laguerre import *
+from .moments import *
+from .ostbc import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ChannelConfig",
-    "Ecdf",
-    "FitError",
-    "GammaLaguerreModel",
-    "MomentSet",
-    "NumericError",
-    "OstbcScheme",
-    "ParameterError",
-    "RayprodError",
-    "ResourceError",
-    "SampleSet",
-    "cdf",
-    "cdf_inverse",
-    "closed_form_moment",
-    "db_to_linear",
-    "exact_moment",
-    "fit",
-    "leading_order_moment",
-    "load_samples",
-    "mgf_moments",
-    "moment_set",
-    "ostbc_catalog",
-    "outage_capacity",
-    "outage_probability",
-    "rayleigh_limit_distance",
-    "sample_frobenius",
-    "save_samples",
-    "variance_recursion",
-]
-
+# montecarlo builds its __all__ from this set: importing it here would load numpy
 _MONTECARLO = frozenset({
     "Ecdf",
     "SampleSet",
@@ -79,6 +30,9 @@ _MONTECARLO = frozenset({
     "sample_frobenius",
     "save_samples",
 })
+
+__all__ = sorted(_MONTECARLO.union(channel.__all__, errors.__all__, gamma_laguerre.__all__,
+                                   moments.__all__, ostbc.__all__))
 
 
 def __getattr__(name):

@@ -4,6 +4,8 @@ Each class maps to a distinct process exit status in the CLI (see
 ``rayprod.cli``), so library code raises the most specific one that applies.
 """
 
+__all__ = ["RayprodError", "ParameterError", "ResourceError", "NumericError", "FitError"]
+
 
 class RayprodError(Exception):
     """Base class for all errors raised by this package."""

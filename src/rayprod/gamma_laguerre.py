@@ -83,6 +83,8 @@ class GammaLaguerreModel(_Record):
     def _check(self):
         """Derive the fitted series and its peaks from the moments; see :func:`fit`."""
         moments = self.source_moments
+        if not isinstance(moments, MomentSet):
+            raise TypeError(f"source_moments must be a MomentSet, got {type(moments).__name__}")
         if moments.q < 2:
             raise ParameterError("fit needs at least the first two moments")
         e1 = moments.values[0]

@@ -41,7 +41,6 @@ __all__ = [
     "leading_order_moment",
     "moment_set",
     "variance_recursion",
-    "composition_count",
 ]
 
 _MAX_ORDER = 12

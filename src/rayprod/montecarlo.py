@@ -56,17 +56,11 @@ import struct
 
 import numpy as np
 
+from . import _MONTECARLO
 from .channel import ChannelConfig, _check_seed, _integer, _Record
 from .errors import ParameterError
 
-__all__ = [
-    "SampleSet",
-    "Ecdf",
-    "sample_frobenius",
-    "rayleigh_limit_distance",
-    "save_samples",
-    "load_samples",
-]
+__all__ = sorted(_MONTECARLO)
 
 _TARGET_WORDS_PER_BATCH = 2**18
 _HEADER = struct.Struct("<8sIQQ4x")  # magic, version, count, seed; 32 bytes
@@ -398,7 +392,8 @@ def load_samples(path, config: ChannelConfig) -> SampleSet:
     """Read a SampleSet written by :func:`save_samples`.
 
     The file header stores only count and seed, so the channel configuration
-    must be supplied by the caller.
+    must be supplied by the caller.  A bad header or a payload of the wrong
+    length raises :class:`ParameterError` naming the path.
     """
     with open(path, "rb") as fh:
         header = fh.read(_HEADER.size)
@@ -410,11 +405,10 @@ def load_samples(path, config: ChannelConfig) -> SampleSet:
         if version != _VERSION:
             raise ParameterError(f"{path}: unsupported sample file version {version}")
         raw = fh.read()
+    if len(raw) != 8 * count:
+        raise ParameterError(f"{path}: header promises {count} samples ({8 * count} "
+                             f"bytes), file holds {len(raw)} bytes")
     values = np.frombuffer(raw, dtype="<f8")
-    if values.size != count:
-        raise ParameterError(
-            f"{path}: header promises {count} samples, file holds {values.size}"
-        )
     values = values.astype(float)
     values.setflags(write=False)
     return SampleSet(config=config, seed=seed, values=values)

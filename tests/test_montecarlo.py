@@ -413,6 +413,9 @@ class TestPersistence:
         samples = sample_frobenius(config, 100, 0)
         path = tmp_path / "draws.bin"
         save_samples(samples, path)
-        path.write_bytes(path.read_bytes()[:-16])
-        with pytest.raises(ParameterError):
-            load_samples(path, config)
+        data = path.read_bytes()
+        # whole draws missing, a ragged tail and a ragged surplus
+        for payload in (data[:-16], data[:-3], data + b"xyz"):
+            path.write_bytes(payload)
+            with pytest.raises(ParameterError, match="header promises 100 samples"):
+                load_samples(path, config)

@@ -100,19 +100,31 @@ def test_draw_count_refused_before_numpy(argv):
     (["simulate", "--dims", "2,3", "--seed", "-1"], None),
     (["cdf", "--dims", "2,3", "--seed", str(2**64)], None),
     (["simulate", "--dims", "2,3"], "-1"),
+    (["cdf", "--dims", "2,3", "--grid-points", "3", "--samples", "0", "--seed", "-1"], None),
 ])
 def test_seed_refused_before_numpy(argv, env, monkeypatch):
-    # the seed is read before any fit, draw or numpy import
+    # the seed is read before any fit, draw or numpy import, and before the
+    # draw count; the refused seed is RAYPROD_SEED or else the last argument
     if env is not None:
         monkeypatch.setenv("RAYPROD_SEED", env)
     out = _python(_WITHOUT_NUMPY, *argv)
-    got = str(2**64) if env is None and "cdf" in argv else "-1"
+    got = argv[-1] if env is None else env
     assert out.returncode == 2 and out.stdout == ""
     assert out.stderr == ("rayprod: parameter error: seed must be an integer in "
                           f"[0, {2**64 - 1}], got {got}\n")
 
 
 def test_every_public_name_resolves():
+    # each module's __all__ joins the package API, so the set is pinned here
+    assert rayprod.__all__ == [
+        "ChannelConfig", "Ecdf", "FitError", "GammaLaguerreModel", "MomentSet",
+        "NumericError", "OstbcScheme", "ParameterError", "RayprodError", "ResourceError",
+        "SampleSet", "cdf", "cdf_inverse", "closed_form_moment", "db_to_linear",
+        "exact_moment", "fit", "leading_order_moment", "load_samples", "mgf_moments",
+        "moment_set", "ostbc_catalog", "outage_capacity", "outage_probability",
+        "rayleigh_limit_distance", "sample_frobenius", "save_samples", "variance_recursion",
+    ]
+    assert "composition_count" not in rayprod.__all__
     for name in rayprod.__all__:
         assert getattr(rayprod, name) is not None, name
     assert set(rayprod.__all__) <= set(dir(rayprod))

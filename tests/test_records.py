@@ -73,6 +73,8 @@ def test_fields_cannot_be_assigned_or_deleted():
     (lambda: OstbcScheme(2, 2), "missing argument 'block_length'"),
     (lambda: OstbcScheme(2, 2, 2, 2), "takes 3 arguments, got 4"),
     (lambda: GammaLaguerreModel(), "missing argument 'source_moments'"),
+    (lambda: GammaLaguerreModel(None), "source_moments must be a MomentSet, got NoneType"),
+    (lambda: fit((1.0, 2.0)), "source_moments must be a MomentSet, got tuple"),
     (lambda: SampleSet(ChannelConfig((2, 3)), 0), "missing argument 'values'"),
 ])
 def test_bad_arguments_raise_type_error(build, message):
