@@ -8,9 +8,9 @@ outage      outage probability vs rate, or outage capacity vs SNR
 simulate    seeded draws of X to a binary file plus summary statistics
 reproduce   multi-curve bundles for the three reference experiments
 
-Exit status: 0 on success, 2 for parameter errors, 3 for resource-guard
-errors and exhausted memory, 4 for numeric failures.  All output is
-deterministic for a fixed argument list (including the seed), byte for byte.
+Exit status: 0 on success, 2 for parameter errors and failed writes, 3 for
+resource-guard errors and exhausted memory, 4 for numeric failures.  All output
+is deterministic for a fixed argument list (including the seed), byte for byte.
 """
 
 from __future__ import annotations
@@ -101,11 +101,9 @@ def _linspace(start: float, stop: float, count: int) -> list[float]:
 
 
 def _parse_grid(text: str) -> list[float]:
-    parts = text.split(":")
-    if len(parts) != 3:
-        raise ParameterError(f"cannot parse grid {text!r}; expected start:stop:count")
     try:
-        start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
+        start, stop, count = text.split(":")
+        start, stop, count = float(start), float(stop), int(count)
     except ValueError:
         raise ParameterError(f"cannot parse grid {text!r}; expected start:stop:count")
     # stop - start is NaN or infinite when either end is, and when it overflows.
@@ -129,14 +127,9 @@ def _finite_float(text: str) -> float:
 
 def _parse_scheme(args, config: ChannelConfig) -> OstbcScheme:
     if args.rate:
-        parts = args.rate.split("/")
+        symbols, slash, block = args.rate.partition("/")
         try:
-            if len(parts) == 1:
-                symbols, block = int(parts[0]), 1
-            elif len(parts) == 2:
-                symbols, block = int(parts[0]), int(parts[1])
-            else:
-                raise ValueError
+            symbols, block = int(symbols), int(block) if slash else 1
         except ValueError:
             raise ParameterError(f"cannot parse rate {args.rate!r}; expected e.g. 3/4")
         return OstbcScheme(config.dims[0], symbols, block)
@@ -157,37 +150,41 @@ def _draws(args, curves: int = 1) -> tuple[int, int]:
     return _check_seed(seed, 2**64 - curves), _integer(samples, "--samples", 1)
 
 
-def _fmt(value) -> str:
-    if value is None:
+def _fmt(cell) -> str:
+    if cell is None:
         return ""
-    if isinstance(value, int):
-        return str(value)
-    return repr(float(value))
+    return str(cell) if isinstance(cell, (str, int)) else repr(float(cell))
 
 
 def _emit(header: list[str], rows: list[list], fmt: str, out: str | None) -> None:
     if fmt == "json":
-        payload = [dict(zip(header, row)) for row in rows]
-        text = json.dumps(payload, indent=1)
-    else:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow(
-                [cell if isinstance(cell, str) else _fmt(cell) for cell in row]
-            )
-        text = buf.getvalue()
-    if out:
-        try:
+        return _write(json.dumps([dict(zip(header, row)) for row in rows], indent=1) + "\n", out)
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows([_fmt(cell) for cell in row] for row in rows)
+    _write(buf.getvalue(), out)
+
+
+def _write(text: str, out: str | None) -> None:
+    """Write ``text`` to ``out``, else to standard output; refuse a failed write."""
+    try:
+        if out:
             with open(out, "w") as fh:
                 fh.write(text)
-        except OSError as exc:
-            raise ParameterError(f"cannot write --out {out!r}: {exc.strerror}")
-    else:
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
+        else:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+    except OSError as exc:
+        if not out:  # the flush at exit writes what is left to nowhere
+            with open(os.devnull, "w") as devnull:
+                os.dup2(devnull.fileno(), sys.stdout.fileno())
+        raise _unwritable(out, exc)
+
+
+def _unwritable(out: str | None, exc: OSError) -> ParameterError:
+    where = f"--out {out!r}" if out else "standard output"
+    return ParameterError(f"cannot write {where}: {exc.strerror}")
 
 
 def _capacity_header(args) -> tuple[str, float]:
@@ -200,9 +197,7 @@ def _capacity_header(args) -> tuple[str, float]:
 
 
 def _cmd_moments(args) -> int:
-    q = args.q
-    if q < 1:
-        raise ParameterError(f"--q must be >= 1, got {q}")
+    q = _integer(args.q, "--q", 1)
     config = _parse_dims(args.dims)
     # taken first, so a leading-order moment past the float range fails
     # before any diagnostic is printed
@@ -232,14 +227,13 @@ def _cmd_moments(args) -> int:
 
 
 def _cmd_cdf(args) -> int:
-    if args.grid_points < 2:
-        raise ParameterError(f"--grid-points must be >= 2, got {args.grid_points}")
+    points = _integer(args.grid_points, "--grid-points", 2)
     config = _parse_dims(args.dims)
     simulate = args.samples is not None or args.seed is not None  # adds the ecdf column
     seed, samples = _draws(args) if simulate else (None, None)  # read before the fit
     model = fit(moment_set(config, args.q))
     hi = model.mean + 10.0 * model.std
-    grid = _linspace(0.0, hi, args.grid_points)
+    grid = _linspace(0.0, hi, points)
     rows = [[x, *cdf(model, x)] for x in grid]
     header = ["x", "raw_cdf", "regularized_cdf"]
     if simulate:
@@ -295,7 +289,7 @@ def _cmd_simulate(args) -> int:
         try:
             save_samples(samples, args.out)
         except OSError as exc:
-            raise ParameterError(f"cannot write --out {args.out!r}: {exc.strerror}")
+            raise _unwritable(args.out, exc)
     v = samples.values
     quantiles = {f"q{int(100 * p):02d}": float(np.quantile(v, p))
                  for p in (0.05, 0.25, 0.50, 0.75, 0.95)}
@@ -308,10 +302,9 @@ def _cmd_simulate(args) -> int:
         **quantiles,
     }
     if args.format == "json":
-        sys.stdout.write(json.dumps(summary, indent=1) + "\n")
+        _write(json.dumps(summary, indent=1) + "\n", None)
     else:
-        _emit(["statistic", "value"],
-              [[k, val] for k, val in summary.items() if k != "dims"],
+        _emit(["statistic", "value"], [[k, val] for k, val in summary.items() if k != "dims"],
               "csv", None)
     return 0
 
@@ -378,7 +371,7 @@ def _cmd_reproduce(args) -> int:
                          for s, ci in zip(snr_db, c)]
         header = ["curve_id", "snr_db", f"outage_capacity_{unit}"]
 
-    _emit(header, rows, args.format, args.out or f"{args.figure}.csv")
+    _emit(header, rows, args.format, args.out or f"{args.figure}.{args.format}")
     return 0
 
 
@@ -439,7 +432,8 @@ def _build_parser() -> _Parser:
     )
     p.add_argument("--figure", choices=("fig2", "fig3", "fig4"), required=True)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--out", help="output path (default: <figure>.csv)")
+    p.add_argument("--out", help="output path (default: <figure>.csv, or <figure>.json "
+                                "with --format json)")
     add_draws(p)
     p.add_argument("--snr-db", type=_finite_float,
                    help="fig2 transmit SNR in dB (default 10; not stated by the source)")

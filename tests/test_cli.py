@@ -1,7 +1,11 @@
 import csv
+import errno
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 
 import pytest
@@ -19,7 +23,10 @@ from rayprod import (
     outage_probability,
     sample_frobenius,
 )
+import rayprod
 from rayprod.cli import main
+
+_SRC = os.path.dirname(os.path.dirname(rayprod.__file__))
 
 
 def _run(capsys, argv):
@@ -54,6 +61,12 @@ class TestMoments:
         assert code == 0
         _, rows = _rows(out)
         assert [float(r[1]) for r in rows] == [24.0, 792.0, 34560.0]
+
+    def test_mgf_guard_leaves_its_column_blank(self, capsys):
+        code, out, err = _run(capsys, ["moments", "--dims", "40,40", "--q", "2"])
+        assert code == 0
+        assert err.count("\n") == 1 and err.startswith("mgf: ")
+        assert [r[3] for r in _rows(out)[1]] == ["", ""]
 
     def test_json_format(self, capsys):
         code, out, _ = _run(capsys, ["moments", "--dims", "2,3", "--q", "2",
@@ -178,10 +191,26 @@ class TestOutage:
         assert code == 0
         assert len(_rows(out)[1]) == 3
 
+    def test_quantile_below_the_smallest_double(self, capsys):
+        argv = ["outage", "--dims", "1,1,1,1,1,1,1,1,1,9", "--pout", "0.5",
+                "--snr-grid", "0:10:2"]
+        with pytest.warns(RuntimeWarning, match="large magnitude"):
+            code, out, err = _run(capsys, argv)
+        assert code == 4 and out == ""
+        assert err.count("\n") == 1
+        assert err.startswith("rayprod: numeric error: cannot resolve the quantile at p=0.5")
+
     def test_needs_a_target(self, capsys):
         code, _, err = _run(capsys, ["outage", "--dims", "2,3", "--q", "2"])
         assert code == 2
         assert "z-grid" in err or "pout" in err
+
+    def test_rate_without_a_slash_has_block_length_one(self, capsys):
+        base = ["outage", "--dims", "2,3", "--q", "2", "--snr-db", "10", "--z-grid", "0:1:3"]
+        code, short, _ = _run(capsys, base + ["--rate", "1"])
+        assert code == 0
+        assert _run(capsys, base + ["--rate", "1/1"]) == (0, short, "")
+        assert _run(capsys, base + ["--rate", "3"]) == _run(capsys, base + ["--rate", "3/1"])
 
     def test_one_curve_per_call(self, capsys):
         code, out, err = _run(capsys, ["outage", "--dims", "2,3", "--z-grid", "0:1:3",
@@ -203,6 +232,11 @@ class TestOutage:
         (["--pout", "1e-20", "--snr-grid", "0:10:3"], "needs 1e-14 < p < 1, got 1e-20"),
         (["--pout", "nan", "--snr-grid", "0:10:3"], "needs 1e-14 < p < 1, got nan"),
         (["--snr-db", "10", "--z-grid", "-1:1:3"], "rate z must be >= 0, got -1.0"),
+        (["--snr-db", "10", "--z-grid", "a:b:c"], "cannot parse grid 'a:b:c'"),
+        (["--pout", "0.05", "--snr-grid", "5:0:3"], "grid '5:0:3' needs stop > start"),
+        (["--snr-db", "abc", "--z-grid", "0:1:3"], "expected a finite number, got 'abc'"),
+        (["--snr-db", "10", "--z-grid", "0:1:3", "--rate", "1/2/3"], "cannot parse rate"),
+        (["--snr-db", "10", "--z-grid", "0:1:3", "--rate", "3/"], "cannot parse rate '3/'"),
     ])
     def test_options_checked_before_the_fit(self, capsys, monkeypatch, extra, message):
         def unreachable(*args):
@@ -260,6 +294,12 @@ class TestSimulate:
                                             "--out", str(path)])
         assert code == 0
         assert json.loads(out)["seed"] == 2**64 - 1
+
+    def test_env_seed_not_an_integer(self, capsys, monkeypatch):
+        monkeypatch.setenv("RAYPROD_SEED", "abc")
+        code, out, err = _run(capsys, ["simulate", "--dims", "2,3", "--samples", "10"])
+        assert code == 2 and out == ""
+        assert err == "rayprod: parameter error: RAYPROD_SEED='abc' is not an integer\n"
 
     def test_csv_matches_json(self, capsys):
         base = ["simulate", "--dims", "2,3", "--samples", "10", "--seed", str(2**64 - 1)]
@@ -356,6 +396,18 @@ class TestReproduce:
                 rebuilt = outage_probability(dist, scheme, config, db_to_linear(snr_db), xs)
             assert rebuilt.tolist() == ys, curve_id
         assert drawn == set(draw_order)
+
+    def test_default_file_follows_the_format(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        argv = ["reproduce", "--figure", "fig4", "--samples", "300", "--seed", "2"]
+        assert _run(capsys, argv + ["--format", "json"]) == (0, "", "")
+        assert _run(capsys, argv) == (0, "", "")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["fig4.csv", "fig4.json"]
+        header, rows = _rows((tmp_path / "fig4.csv").read_text())
+        text = (tmp_path / "fig4.json").read_text()
+        assert text.endswith("]\n")
+        assert [list(row.values()) for row in json.loads(text)] == [
+            [r[0], float(r[1]), float(r[2])] for r in rows]
 
     @pytest.mark.parametrize("figure", ["fig3", "fig4"])
     def test_snr_db_is_fig2_only(self, capsys, tmp_path, figure):
@@ -496,6 +548,12 @@ class TestErrorCodes:
         assert code == 2
         assert "--out" in err
         assert err.strip().count("\n") == 0
+        # the sample file of simulate is refused with the same line
+        code, stdout, err = _run(capsys, ["simulate", "--dims", "2,3", "--samples", "10",
+                                          "--seed", "1", "--out", str(out)])
+        assert code == 2 and stdout == ""
+        assert err == (f"rayprod: parameter error: cannot write --out {str(out)!r}: "
+                       f"{os.strerror(errno.ENOENT)}\n")
 
     def test_resource_and_numeric_mapping(self, capsys, monkeypatch):
         # the dispatcher assigns distinct exit codes per error class
@@ -515,6 +573,51 @@ class TestErrorCodes:
         )
         assert cli.main(["moments", "--dims", "2,3"]) == 3
         assert capsys.readouterr().err.strip().count("\n") == 0
+
+
+_MOMENTS = ["moments", "--dims", "2,3", "--q", "3"]
+_LONG_CDF = ["cdf", "--dims", "2,3", "--grid-points", "50000"]  # 2.8 MB, past any pipe buffer
+
+
+def _spawn(argv, stdout, unbuffered=False):
+    env = {**os.environ, "PYTHONPATH": _SRC}
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return subprocess.Popen([sys.executable, "-m", "rayprod.cli", *argv], stdout=stdout,
+                            stderr=subprocess.PIPE, env=env)
+
+
+def _refused_write(proc, errno_code):
+    """Exit 2 and one stderr line: no traceback, no 'Exception ignored'."""
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait() == 2, err
+    assert err == ("rayprod: parameter error: cannot write standard output: "
+                   f"{os.strerror(errno_code)}\n")
+
+
+class TestWriteFailures:
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    @pytest.mark.parametrize("unbuffered", [False, True])
+    @pytest.mark.parametrize("argv", [_MOMENTS, _LONG_CDF])
+    def test_full_device(self, argv, unbuffered):
+        with open("/dev/full", "wb") as full:
+            _refused_write(_spawn(argv, full, unbuffered), errno.ENOSPC)
+
+    def test_pipe_closed_after_ten_bytes(self):
+        proc = _spawn(_LONG_CDF, subprocess.PIPE)
+        assert proc.stdout.read(10) == b"x,raw_cdf,"
+        proc.stdout.close()
+        _refused_write(proc, errno.EPIPE)
+
+    def test_pipe_closed_before_the_first_byte(self):
+        # a short table fits in the pipe at once, so its reader leaves first
+        read, write = os.pipe()
+        os.close(read)
+        proc = _spawn(_MOMENTS, write)
+        os.close(write)
+        _refused_write(proc, errno.EPIPE)
 
 
 def test_grids_have_numpy_linspace_bits():

@@ -486,6 +486,19 @@ class TestCdfInverse:
         model = fit(moment_set(ChannelConfig((1,) * 9), 6))
         with pytest.raises(NumericError, match="cannot shrink"):
             cdf_inverse(model, 0.01)
+        # the median of (1,...,1,9) lies near 6.3e-321, among the subnormals
+        model = fit(moment_set(ChannelConfig((1,) * 9 + (9,)), 6))
+        with pytest.raises(NumericError, match=r"the bracket \[6\.\d+e-321, .* cannot shrink"):
+            cdf_inverse(model, 0.5)
+
+    def test_bracket_doubles_past_ten_deviations(self):
+        # the 1 - 1e-10 quantile of Gamma(7) lies past mean + 10 std = 33.46,
+        # where the bracket starts, so its upper end doubles first
+        model = fit(moment_set(ChannelConfig((1, 7)), 6))
+        p = 1.0 - 1e-10
+        x = cdf_inverse(model, p)
+        assert x > model.mean + 10.0 * model.std
+        assert abs(gammainc(7.0, x) - p) <= 1e-10
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("dims", [(1, 1, 1, 1, 7), (1, 1, 9, 1, 1), (1, 6, 2, 1, 1)])

@@ -289,6 +289,10 @@ class TestMomentSet:
     def test_validation(self):
         with pytest.raises(ParameterError):
             MomentSet(ChannelConfig((2, 3)), (-6.0,))
+        with pytest.raises(ParameterError, match="at least one moment"):
+            MomentSet(ChannelConfig((2, 3)), ())
+        with pytest.raises(ParameterError, match="variance needs at least two moments"):
+            MomentSet(ChannelConfig((2, 3)), (6.0,)).variance
 
 
 def test_sample_moments_match_monte_carlo(samples_2784):

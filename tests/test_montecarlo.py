@@ -408,6 +408,12 @@ class TestPersistence:
         with pytest.raises(ParameterError, match="version 1"):
             load_samples(path, ChannelConfig((2, 3)))
 
+    def test_short_header(self, tmp_path):
+        path = tmp_path / "draws.bin"
+        path.write_bytes(montecarlo._MAGIC)
+        with pytest.raises(ParameterError, match="truncated sample file header"):
+            load_samples(path, ChannelConfig((2, 3)))
+
     def test_truncated(self, tmp_path):
         config = ChannelConfig((2, 3))
         samples = sample_frobenius(config, 100, 0)
