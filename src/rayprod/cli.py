@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import io
 import json
 import math
@@ -173,8 +174,15 @@ def _write(text: str, out: str | None) -> None:
             with open(out, "w") as fh:
                 fh.write(text)
         else:
-            sys.stdout.write(text)
             sys.stdout.flush()
+            # an unbuffered stream ignores a short raw write, so check each count
+            data = memoryview(text.encode(sys.stdout.encoding, sys.stdout.errors))
+            while data:
+                written = sys.stdout.buffer.write(data)
+                if not written:
+                    raise OSError(errno.EIO, "no bytes written")
+                data = data[written:]
+            sys.stdout.buffer.flush()
     except OSError as exc:
         if not out:  # the flush at exit writes what is left to nowhere
             with open(os.devnull, "w") as devnull:

@@ -166,9 +166,9 @@ def _uniform_rows(
 def _triangle_chains(config: ChannelConfig, start: int, stop: int, seed: int):
     """Chains ``sqrt(2)**n T_n ... T_1`` for sample indices ``[start, stop)``.
 
-    Yields ``(s, prod)`` per batch ``[s, s + b)``: ``prod[r, c]``, ``r <=
-    c``, holds entry ``(r, c)`` of the batch's chains as one contiguous
-    length-``b`` vector (real on the diagonal), in row-major order.  The
+    Yields ``(s, chain)`` per batch ``[s, s + b)``: ``chain`` is a complex
+    ``(k, k, b)`` array, upper triangular with exact zeros below, and its
+    entry ``chain[r, c]`` is one contiguous length-``b`` vector.  The
     ``sqrt(2)`` per factor is that of the chi diagonals and standard normal
     upper parts; the product costs ``k (k+1) (k+2) / 6`` vector
     multiply-adds per factor.
@@ -180,8 +180,9 @@ def _triangle_chains(config: ChannelConfig, start: int, stop: int, seed: int):
     gamma_doubles = ends[-1]
     pairs = k * (k - 1) // 2  # strict upper entries per factor
     doubles = gamma_doubles + 2 * n * pairs
-    pos = {rc: t for t, rc in enumerate(zip(*np.triu_indices(k, 1)))}
-    entries = [(r, c) for r in range(k) for c in range(r, k)]
+    upper_rc = np.triu_indices(k, 1)
+    pos = np.zeros((k, k), dtype=int)
+    pos[upper_rc] = range(pairs)  # T_i[r, c] is upper[i, pos[r, c]] for r < c
     batch = max(1, min(_TARGET_WORDS_PER_BATCH // doubles, stop - start))
     rows_buf = np.empty(batch * _padded(doubles))
     u_buf = np.empty(batch * doubles)
@@ -207,29 +208,29 @@ def _triangle_chains(config: ChannelConfig, start: int, stop: int, seed: int):
         upper = np.empty((n * pairs, b), dtype=complex)
         upper.real, upper.imag = _box_muller(pair_rows[0::2], pair_rows[1::2])
         upper = upper.reshape(n, pairs, b)
-        prod = {(r, c): diag[0, r] if r == c else upper[0, pos[r, c]] for r, c in entries}
+        chain = np.zeros((k, k, b), dtype=complex)
+        chain[range(k), range(k)] = diag[0]
+        chain[upper_rc] = upper[0]
         for i in range(1, n):
-            prod = {
-                (r, c): sum(
-                    (upper[i, pos[r, l]] * prod[l, c] for l in range(r + 1, c + 1)),
-                    diag[i, r] * prod[r, c],
-                )
-                for r, c in entries
-            }
-        yield s, prod
+            # in place, top-down: entry (r, c) reads only rows >= r, not yet overwritten
+            for r in range(k):
+                for c in range(r, k):
+                    np.multiply(diag[i, r], chain[r, c], out=chain[r, c])
+                    for l in range(r + 1, c + 1):
+                        chain[r, c] += upper[i, pos[r, l]] * chain[l, c]
+        yield s, chain
 
 
 def _frobenius_values(
     config: ChannelConfig, start: int, stop: int, seed: int
 ) -> np.ndarray:
-    """Draws of X for sample indices ``[start, stop)``; partition-invariant."""
+    """Draws of X for sample indices ``[start, stop)``, partition-invariant: the
+    squared moduli of each chain's upper entries, summed row-major one at a time."""
     out = np.empty(stop - start)
-    for s, prod in _triangle_chains(config, start, stop, seed):
-        chain = sum(
-            p**2 if r == c else p.real**2 + p.imag**2 for (r, c), p in prod.items()
-        )
+    for s, chain in _triangle_chains(config, start, stop, seed):
+        norm = sum(p.real**2 + p.imag**2 for r in range(len(chain)) for p in chain[r, r:])
         # the chain is sqrt(2)**n T_n ... T_1, so X is its squared norm / 2**n
-        out[s - start : s - start + chain.size] = chain * 0.5**config.n
+        out[s - start : s - start + norm.size] = norm * 0.5**config.n
     return out
 
 
@@ -291,10 +292,9 @@ def rayleigh_limit_distance(
 
     factor = None  # the k0 x k0 product T_m ... T_1 of every draw
     if clusters:
-        factor = np.zeros((count, k0, k0), dtype=complex)
-        for s, prod in _triangle_chains(ChannelConfig((k0, *clusters)), 0, count, seed):
-            for (r, c), entry in prod.items():
-                factor[s : s + entry.size, r, c] = entry
+        factor = np.empty((count, k0, k0), dtype=complex)
+        for s, chain in _triangle_chains(ChannelConfig((k0, *clusters)), 0, count, seed):
+            factor[s : s + chain.shape[2]] = chain.transpose(2, 0, 1)
         factor *= 2.0 ** (-len(clusters) / 2)
 
     # Receive layer: Box-Muller normals interleaved per sample, the first

@@ -605,8 +605,9 @@ class TestWriteFailures:
         with open("/dev/full", "wb") as full:
             _refused_write(_spawn(argv, full, unbuffered), errno.ENOSPC)
 
-    def test_pipe_closed_after_ten_bytes(self):
-        proc = _spawn(_LONG_CDF, subprocess.PIPE)
+    @pytest.mark.parametrize("unbuffered", [False, True])
+    def test_pipe_closed_after_ten_bytes(self, unbuffered):
+        proc = _spawn(_LONG_CDF, subprocess.PIPE, unbuffered)
         assert proc.stdout.read(10) == b"x,raw_cdf,"
         proc.stdout.close()
         _refused_write(proc, errno.EPIPE)

@@ -28,6 +28,8 @@ from rayprod.montecarlo import (
     _frobenius_values,
     _ks_normal_statistic,
     _ndtr,
+    _triangle_chains,
+    _uniform_rows,
 )
 
 
@@ -42,7 +44,44 @@ def _dense_reference(dims, count, seed):
     return np.sum(np.abs(prod) ** 2, axis=(1, 2))
 
 
+def _stream_chains(config, count, seed):
+    """``sqrt(2)**n T_n ... T_1`` per draw, rebuilt from the version-2 stream
+    layout one uniform at a time, with ``cos``/``sin`` Box-Muller and matmul."""
+    k, ms = config.canonical_dims[0], config.canonical_dims[1:]
+    doubles = sum(m - j for m in ms for j in range(k)) + len(ms) * k * (k - 1)
+    chains = []
+    for row in _uniform_rows(seed, 0, count, doubles):
+        u = iter(row.tolist())
+        factors = []  # every factor's diagonal first, then every factor's upper part
+        for m in ms:
+            chi = [math.sqrt(-2.0 * sum(math.log(1.0 - next(u)) for _ in range(m - j)))
+                   for j in range(k)]
+            factors.append(np.diag(chi).astype(complex))
+        chain = np.eye(k)
+        for t in factors:
+            for r, c in zip(*np.triu_indices(k, 1)):
+                radius = math.sqrt(-2.0 * math.log(1.0 - next(u)))
+                angle = 2.0 * math.pi * next(u)
+                t[r, c] = complex(radius * math.cos(angle), radius * math.sin(angle))
+            chain = t @ chain
+        chains.append(chain)
+    return chains
+
+
 class TestSampleFrobenius:
+    @pytest.mark.parametrize("dims", [(2, 3, 4), (4, 8, 8, 4)])
+    def test_chain_is_the_triangle_product(self, dims):
+        # matmul adds in another order than the walker, hence rtol
+        config = ChannelConfig(dims)
+        k = config.canonical_dims[0]
+        expected = _stream_chains(config, 6, 5)
+        for start, stop in [(0, 5), (5, 6)]:  # a batch of five, then one of one
+            for s, chain in _triangle_chains(config, start, stop, 5):
+                assert chain.dtype == complex and chain.shape == (k, k, stop - start)
+                assert np.all(chain[np.tril_indices(k, -1)] == 0.0)
+                for j in range(chain.shape[2]):
+                    np.testing.assert_allclose(chain[..., j], expected[s + j], rtol=1e-12)
+
     def test_scalar_channel_is_exponential(self):
         samples = sample_frobenius(ChannelConfig((1, 1)), 10**6, 0)
         v = samples.values
@@ -317,6 +356,13 @@ class TestRayleighLimit:
         d10 = rayleigh_limit_distance(2, 4, 10, [1.0, 4.0 / 3.0], 10**4, 10)
         d100 = rayleigh_limit_distance(2, 4, 100, [1.0, 4.0 / 3.0], 10**4, 10)
         assert d100 < d10
+
+    def test_partition_across_batches(self, monkeypatch):
+        args = (2, 4, 10, [1.0, 4 / 3], 2000, 10)
+        whole = rayleigh_limit_distance(*args)
+        for words in (1, 100):  # one draw per batch, then a few
+            monkeypatch.setattr(montecarlo, "_TARGET_WORDS_PER_BATCH", words)
+            assert rayleigh_limit_distance(*args) == whole
 
     def test_deterministic(self):
         a = rayleigh_limit_distance(2, 3, 7, [1.0], 2000, 5)
