@@ -11,7 +11,9 @@ point costs one prefactor (two :mod:`math` scalar calls), one Horner pass
 and one incomplete-Gamma loop.  Matching forces the first- and
 second-order correction weights to vanish; for a single-factor channel
 (n = 1) every correction weight vanishes and the model is the exact
-distribution of X.
+distribution of X, but only while the float moments round like the Gamma
+moments: at wide dims such as (7000, 7000) the float weights lose every
+digit to cancellation and the quantiles drift (ROADMAP item K).
 
 Numerically the weights are assembled from the ratios ``mu_l = E[X^l] /
 ((alpha)_l beta^l)`` of the channel moments to the Gamma moments, so the

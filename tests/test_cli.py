@@ -200,6 +200,14 @@ class TestOutage:
         assert err.count("\n") == 1
         assert err.startswith("rayprod: numeric error: cannot resolve the quantile at p=0.5")
 
+    def test_quantile_that_cannot_be_bracketed(self, capsys, monkeypatch):
+        monkeypatch.setattr("rayprod.gamma_laguerre._MAX_BRACKET_DOUBLINGS", 0)
+        argv = ["outage", "--dims", "2,3", "--pout", "0.5", "--snr-grid", "0:1:2"]
+        code, out, err = _run(capsys, argv)
+        assert code == 4 and out == ""
+        assert err.count("\n") == 1
+        assert err.startswith("rayprod: numeric error: could not bracket")
+
     def test_needs_a_target(self, capsys):
         code, _, err = _run(capsys, ["outage", "--dims", "2,3", "--q", "2"])
         assert code == 2
