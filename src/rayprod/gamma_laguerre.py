@@ -170,12 +170,7 @@ class GammaLaguerreModel(_Record):
 def _shape_terms(a: float) -> tuple[float, float, float]:
     """The constants :func:`_prefactor` needs at shape ``a``: ``lgamma(a)``,
     ``log(a) / 2`` and the Stirling remainder (0 below the Stirling switch)."""
-    remainder = 0.0
-    if a >= _STIRLING_MIN_A:
-        r = 1.0 / (a * a)
-        for c in reversed(_STIRLING):
-            remainder = remainder * r + c
-        remainder /= a
+    remainder = _horner(_STIRLING, 1.0 / (a * a)) / a if a >= _STIRLING_MIN_A else 0.0
     return math.lgamma(a), 0.5 * math.log(a), remainder
 
 
@@ -278,8 +273,9 @@ def _derivative_poly(alpha: float, eps_basis) -> list[float]:
     return coeffs
 
 
-def _horner(coeffs: list[float], u: float) -> float:
-    """``p(u) = sum_k coeffs[k] * u**k``."""
+def _horner(coeffs, u):
+    """``p(u) = sum_k coeffs[k] * u**k`` for a float or an array ``u``, by
+    Horner's rule with no fused multiply-add (cephes' order of operations)."""
     s = 0.0
     for c in reversed(coeffs):
         s = s * u + c

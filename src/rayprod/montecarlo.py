@@ -50,7 +50,6 @@ on the batch size.
 
 from __future__ import annotations
 
-import functools
 import math
 import struct
 
@@ -59,6 +58,7 @@ import numpy as np
 from . import _MONTECARLO
 from .channel import ChannelConfig, _check_seed, _integer, _Record
 from .errors import ParameterError
+from .gamma_laguerre import _horner
 
 __all__ = sorted(_MONTECARLO)
 
@@ -101,6 +101,8 @@ class Ecdf:
         self._sorted = arr
 
     def __call__(self, x):
+        if np.isnan(x).any():  # searchsorted would put NaN above every sample
+            raise ParameterError("empirical CDF requires x that is not NaN")
         out = self._sorted.searchsorted(x, side="right") / self._sorted.size
         return out if out.ndim else float(out)
 
@@ -309,32 +311,28 @@ def rayleigh_limit_distance(
     return _ks_normal_statistic(np.concatenate(parts) * np.sqrt(2.0))
 
 
-# cephes ndtr.c coefficients, highest power first; Q, S and U are monic
+# cephes ndtr.c coefficients as cephes lists them, highest power first (Q, S and
+# U are monic), reversed for _horner
 _NDTR_P = (2.46196981473530512524E-10, 5.64189564831068821977E-1, 7.46321056442269912687E0,
            4.86371970985681366614E1, 1.96520832956077098242E2, 5.26445194995477358631E2,
-           9.34528527171957607540E2, 1.02755188689515710272E3, 5.57535335369399327526E2)
+           9.34528527171957607540E2, 1.02755188689515710272E3, 5.57535335369399327526E2)[::-1]
 _NDTR_Q = (1.0, 1.32281951154744992508E1, 8.67072140885989742329E1, 3.54937778887819891062E2,
            9.75708501743205489753E2, 1.82390916687909736289E3, 2.24633760818710981792E3,
-           1.65666309194161350182E3, 5.57535340817727675546E2)
+           1.65666309194161350182E3, 5.57535340817727675546E2)[::-1]
 _NDTR_R = (5.64189583547755073984E-1, 1.27536670759978104416E0, 5.01905042251180477414E0,
-           6.16021097993053585195E0, 7.40974269950448939160E0, 2.97886665372100240670E0)
+           6.16021097993053585195E0, 7.40974269950448939160E0, 2.97886665372100240670E0)[::-1]
 _NDTR_S = (1.0, 2.26052863220117276590E0, 9.39603524938001434673E0, 1.20489539808096656605E1,
-           1.70814450747565897222E1, 9.60896809063285878198E0, 3.36907645100081516050E0)
+           1.70814450747565897222E1, 9.60896809063285878198E0, 3.36907645100081516050E0)[::-1]
 _NDTR_T = (9.60497373987051638749E0, 9.00260197203842689217E1, 2.23200534594684319226E3,
-           7.00332514112805075473E3, 5.55923013010394962768E4)
+           7.00332514112805075473E3, 5.55923013010394962768E4)[::-1]
 _NDTR_U = (1.0, 3.35617141647503099647E1, 5.21357949780152679795E2, 4.59432382970980127987E3,
-           2.26290000613890934246E4, 4.92673942608635921086E4)
+           2.26290000613890934246E4, 4.92673942608635921086E4)[::-1]
 _SQRT1_2, _MAXLOG = 7.07106781186547524401E-1, 7.09782712893383996843E2  # log(DBL_MAX)
-
-
-def _polevl(x: np.ndarray, coefs: tuple) -> np.ndarray:
-    """Horner's rule in cephes' order of operations, with no fused multiply-add."""
-    return functools.reduce(lambda acc, c: acc * x + c, coefs)
 
 
 def _erf(x: np.ndarray) -> np.ndarray:
     """cephes ``erf`` for ``|x| <= 1``; odd in ``x`` bit for bit."""
-    return x * _polevl(x * x, _NDTR_T) / _polevl(x * x, _NDTR_U)
+    return x * _horner(_NDTR_T, x * x) / _horner(_NDTR_U, x * x)
 
 
 def _ndtr(a: np.ndarray) -> np.ndarray:
@@ -353,8 +351,8 @@ def _ndtr(a: np.ndarray) -> np.ndarray:
     tail = (z >= 1.0) & (z < 27.0)
     t = z[tail]
     e = np.array([math.exp(-v) if v <= _MAXLOG else 0.0 for v in (t * t).tolist()])
-    y[tail] = 0.5 * np.where(t < 8.0, e * _polevl(t, _NDTR_P) / _polevl(t, _NDTR_Q),
-                             e * _polevl(t, _NDTR_R) / _polevl(t, _NDTR_S))
+    y[tail] = 0.5 * np.where(t < 8.0, e * _horner(_NDTR_P, t) / _horner(_NDTR_Q, t),
+                             e * _horner(_NDTR_R, t) / _horner(_NDTR_S, t))
     y = np.where(x > 0.0, 1.0 - y, y)
     small = z < _SQRT1_2
     y[small] = 0.5 + 0.5 * _erf(x[small])

@@ -242,9 +242,12 @@ class TestOutage:
         (["--snr-db", "10", "--z-grid", "-1:1:3"], "rate z must be >= 0, got -1.0"),
         (["--snr-db", "10", "--z-grid", "a:b:c"], "cannot parse grid 'a:b:c'"),
         (["--pout", "0.05", "--snr-grid", "5:0:3"], "grid '5:0:3' needs stop > start"),
-        (["--snr-db", "abc", "--z-grid", "0:1:3"], "expected a finite number, got 'abc'"),
+        (["--snr-db", "abc", "--z-grid", "0:1:3"], "invalid float value: 'abc'"),
         (["--snr-db", "10", "--z-grid", "0:1:3", "--rate", "1/2/3"], "cannot parse rate"),
         (["--snr-db", "10", "--z-grid", "0:1:3", "--rate", "3/"], "cannot parse rate '3/'"),
+        (["--snr-db", "nan", "--z-grid", "0:1:3"], "has no finite linear value"),
+        (["--snr-db", "inf", "--z-grid", "0:1:3"], "has no finite linear value"),
+        (["--snr-db", "1e400", "--z-grid", "0:1:3"], "has no finite linear value"),
     ])
     def test_options_checked_before_the_fit(self, capsys, monkeypatch, extra, message):
         def unreachable(*args):
@@ -525,7 +528,7 @@ class TestErrorCodes:
                 assert err.strip().count("\n") == 0, extra
             code, _, err = _run(capsys, ["reproduce", "--figure", "fig2", "--snr-db", "inf"])
             assert code == 2
-            assert "--snr-db" in err
+            assert err == "rayprod: parameter error: an SNR of inf dB has no finite linear value\n"
 
     def test_snr_without_finite_linear_value(self, capsys):
         cases = [

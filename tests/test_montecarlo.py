@@ -260,7 +260,7 @@ class TestEcdf:
             e = Ecdf(values)
             v = np.sort(np.asarray(values, dtype=float))
             x = np.concatenate([v, np.nextafter(v, -np.inf), (v[:-1] + v[1:]) / 2,
-                                [-np.inf, 0.0, np.inf, np.nan]])
+                                [-np.inf, 0.0, np.inf]])
             floats = [e(t) for t in x.tolist()]
             assert all(type(f) is float for f in floats)
             assert floats == e(x).tolist()
@@ -274,6 +274,15 @@ class TestEcdf:
         # numpy.quantile answers NaN there for any p; the interpolation would not
         with pytest.raises(ParameterError, match="NaN"):
             Ecdf([1.0, math.nan, 2.0])
+
+    def test_nan_point_refused(self):
+        # as the fitted model's cdf refuses it; searchsorted would answer 1.0
+        e = Ecdf([1.0, 2.0, 3.0])
+        for x in (math.nan, np.float64(math.nan), [0.5, math.nan], np.full((2, 2), math.nan)):
+            with pytest.raises(ParameterError, match="not NaN"):
+                e(x)
+            with pytest.raises(ParameterError, match="not NaN"):
+                e.cdf(x)
 
     def test_distribution_interface(self):
         values = np.random.default_rng(8).exponential(size=1001)

@@ -96,6 +96,20 @@ def test_draw_count_refused_before_numpy(argv):
     assert out.stderr == "rayprod: parameter error: --samples must be an integer >= 1, got 0\n"
 
 
+@pytest.mark.parametrize("snr_db, shown", [("nan", "nan"), ("inf", "inf"), ("1e400", "inf"),
+                                            ("4000", "4000")])
+@pytest.mark.parametrize("argv", [
+    ["reproduce", "--figure", "fig2", "--samples", "10", "--out", os.devnull],
+    ["outage", "--dims", "2,7,8,4", "--z-grid", "0:1:3"],
+])
+def test_snr_refused_before_numpy(argv, snr_db, shown):
+    # db_to_linear is the one SNR check, and it runs before any fit, draw or numpy import
+    out = _python(_WITHOUT_NUMPY, *argv, "--snr-db", snr_db)
+    assert out.returncode == 2 and out.stdout == ""
+    assert out.stderr == ("rayprod: parameter error: an SNR of "
+                          f"{shown} dB has no finite linear value\n")
+
+
 @pytest.mark.parametrize("argv,env", [
     (["simulate", "--dims", "2,3", "--seed", "-1"], None),
     (["cdf", "--dims", "2,3", "--seed", str(2**64)], None),
