@@ -24,6 +24,7 @@ import math
 import os
 import re
 import sys
+import warnings
 
 from .channel import ChannelConfig, _check_seed, _integer
 from .errors import NumericError, ParameterError, ResourceError
@@ -442,21 +443,28 @@ def _build_parser() -> _Parser:
 
 def main(argv=None) -> int:
     parser = _build_parser()
-    try:
-        args = parser.parse_args(argv)
-        return args.func(args)
-    except ParameterError as exc:
-        print(f"rayprod: parameter error: {exc}", file=sys.stderr)
-        return 2
-    except (ResourceError, ModuleNotFoundError) as exc:  # the sampler needs numpy
-        print(f"rayprod: resource error: {exc}", file=sys.stderr)
-        return 3
-    except MemoryError as exc:
-        print(f"rayprod: resource error: out of memory ({exc})", file=sys.stderr)
-        return 3
-    except NumericError as exc:
-        print(f"rayprod: numeric error: {exc}", file=sys.stderr)
-        return 4
+    # Warnings become one stderr line each after a command that succeeds: the
+    # fit's large-weight warning always, others as the interpreter's filters say.
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.filterwarnings("always", "correction weight", RuntimeWarning)
+        try:
+            args = parser.parse_args(argv)
+            code = args.func(args)
+        except ParameterError as exc:
+            print(f"rayprod: parameter error: {exc}", file=sys.stderr)
+            return 2
+        except (ResourceError, ModuleNotFoundError) as exc:  # the sampler needs numpy
+            print(f"rayprod: resource error: {exc}", file=sys.stderr)
+            return 3
+        except MemoryError as exc:
+            print(f"rayprod: resource error: out of memory ({exc})", file=sys.stderr)
+            return 3
+        except NumericError as exc:
+            print(f"rayprod: numeric error: {exc}", file=sys.stderr)
+            return 4
+    for warning in caught:
+        print(f"rayprod: warning: {warning.message}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -50,9 +50,6 @@ _INVERSE_TOL_P = 1e-10
 _INVERSE_TOL_REL = 1e-6
 _MAX_BRACKET_DOUBLINGS = 60
 _CDF_FLOOR = 1e-14  # regularized values at or below snap to 0: no quantile there
-_MAX_ROOT_STEPS = 100
-_ROOT_STEP_ULPS = 4.0
-_ROOT_SETTLED = 2.0**-30  # a Newton step this small is in the quadratic regime
 
 _EPS = sys.float_info.epsilon
 _MAX = sys.float_info.max
@@ -284,42 +281,18 @@ def _horner(coeffs, u):
 
 def _root_between(coeffs: list[float], a: float, b: float, fa: float) -> float:
     """The root of ``p`` (see :func:`_horner`) in ``(a, b)``, where ``p`` is
-    monotone and ``p(a) = fa`` and ``p(b)`` have opposite signs.
-
-    Newton steps from the midpoint, each shrinking the bracket; a step that
-    would leave the bracket, or shrink it less than a bisection would have
-    two steps before, is a bisection instead.  Stops at an exact zero, at a
-    step within a few ulps, or where Newton steps had converged and rounding
-    error in ``p(x)`` now throws the next one out: bisecting on from there
-    would chase noise.
-    """
+    monotone and ``p(a) = fa`` and ``p(b)`` have opposite signs, bisected to
+    an exact zero of ``p`` or to the float where its computed sign changes."""
     x = 0.5 * (a + b)
-    step = last = b - a
-    newton = False
-    for _ in range(_MAX_ROOT_STEPS):
-        fx = slope = 0.0
-        for c in reversed(coeffs):
-            slope = slope * x + fx
-            fx = fx * x + c
+    while a < x < b:
+        fx = _horner(coeffs, x)
         if fx == 0.0:
             return x
         if (fx < 0.0) == (fa < 0.0):
             a = x
         else:
             b = x
-        nxt = x - fx / slope if slope else math.nan
-        if a < nxt < b and abs(2.0 * fx) <= abs(last * slope):
-            last, step, newton = step, x - nxt, True
-            if abs(step) <= _ROOT_STEP_ULPS * _EPS * abs(x):
-                return nxt
-        elif newton and abs(step) <= _ROOT_SETTLED * abs(x):
-            return x
-        else:
-            nxt = 0.5 * (a + b)
-            if not a < nxt < b:
-                return x
-            last, step, newton = step, b - a, False
-        x = nxt
+        x = 0.5 * (a + b)
     return x
 
 
@@ -328,11 +301,12 @@ def _positive_real_roots(coeffs: list[float]) -> list[float]:
 
     Rolle isolation down the derivative chain: between consecutive positive
     roots of ``p'`` (with 0 before them and a bound past every root after)
-    ``p`` is monotone, so it has a root there exactly when it changes sign.
-    The chain starts at the linear derivative and climbs to ``p``.  A root
-    where ``p`` only touches zero is found when ``p`` vanishes exactly at a
-    root of ``p'``; otherwise it is missed, which loses no peak: the raw CDF
-    has no extremum there.
+    ``p`` is monotone, so it has a root there exactly when it changes sign,
+    and bisection takes it to an exact zero or to the float where the
+    computed sign changes.  The chain starts at the linear derivative and
+    climbs to ``p``.  A root where ``p`` only touches zero is found when
+    ``p`` vanishes exactly at a root of ``p'``; otherwise it is missed,
+    which loses no peak: the raw CDF has no extremum there.
     """
     coeffs = list(coeffs)
     while coeffs and coeffs[-1] == 0.0:  # a zero leading coefficient

@@ -194,8 +194,7 @@ class TestOutage:
     def test_quantile_below_the_smallest_double(self, capsys):
         argv = ["outage", "--dims", "1,1,1,1,1,1,1,1,1,9", "--pout", "0.5",
                 "--snr-grid", "0:10:2"]
-        with pytest.warns(RuntimeWarning, match="large magnitude"):
-            code, out, err = _run(capsys, argv)
+        code, out, err = _run(capsys, argv)
         assert code == 4 and out == ""
         assert err.count("\n") == 1
         assert err.startswith("rayprod: numeric error: cannot resolve the quantile at p=0.5")
@@ -630,6 +629,36 @@ class TestWriteFailures:
         proc = _spawn(_MOMENTS, write)
         os.close(write)
         _refused_write(proc, errno.EPIPE)
+
+
+class TestLargeWeightWarning:
+    """The fit's large-weight warning is one ``rayprod: warning:`` line after a
+    command that succeeds, and nothing beside the error line of one that
+    fails, whatever ``-W`` says."""
+
+    @staticmethod
+    def _cli(flags, argv):
+        env = {**os.environ, "PYTHONPATH": _SRC}
+        env.pop("PYTHONWARNINGS", None)
+        return subprocess.run([sys.executable, *flags, "-m", "rayprod.cli", *argv],
+                              capture_output=True, text=True, env=env)
+
+    @pytest.mark.parametrize("flags", [[], ["-W", "error"]], ids=["default", "W-error"])
+    def test_success_prints_one_warning_line(self, flags):
+        proc = self._cli(flags, ["cdf", "--dims", "1,1,1,1,1,1,1", "--grid-points", "2"])
+        assert proc.returncode == 0, proc.stderr
+        assert len(_rows(proc.stdout)[1]) == 2
+        assert proc.stderr.count("\n") == 1
+        assert proc.stderr.startswith("rayprod: warning: correction weight 6 has large magnitude")
+
+    @pytest.mark.parametrize("flags", [[], ["-W", "error"]], ids=["default", "W-error"])
+    def test_failure_prints_only_its_error_line(self, flags):
+        proc = self._cli(flags, ["outage", "--dims", "1,1,1,1,1,1,1,1,1", "--pout", "0.01",
+                                 "--snr-grid", "0:10:3"])
+        assert proc.returncode == 4
+        assert proc.stdout == ""
+        assert proc.stderr.count("\n") == 1
+        assert proc.stderr.startswith("rayprod: numeric error: cannot resolve the quantile")
 
 
 def test_grids_have_numpy_linspace_bits():

@@ -25,6 +25,7 @@ from rayprod import (
 from rayprod import gamma_laguerre
 from rayprod.gamma_laguerre import (
     _derivative_poly,
+    _horner,
     _positive_real_roots,
     _prefactor,
     _raw_cdf,
@@ -231,6 +232,16 @@ def _assert_roots(got, expected, rel):
         assert g == pytest.approx(e, rel=rel), (got, expected)
 
 
+def _assert_bisected(coeffs, roots):
+    """Each root is an exact zero of the computed ``p`` or a float next to
+    which the computed sign of ``p`` changes: no root stops short."""
+    for r in roots:
+        fr = _horner(coeffs, r)
+        neighbours = (math.nextafter(r, -math.inf), math.nextafter(r, math.inf))
+        assert fr == 0.0 or any((fr < 0.0) != (_horner(coeffs, n) < 0.0)
+                                for n in neighbours), (r, fr)
+
+
 _DEEP = [(4, 8, 8, 8, 4), (2, 2, 2, 2, 2, 2), (1, 1, 9, 1, 1)]
 
 
@@ -250,7 +261,9 @@ class TestPositiveRealRoots:
         for dims, q in cases:
             model = _fit_quietly(dims, q)
             coeffs = _derivative_poly(model.alpha, model.eps_basis)
-            _assert_roots(_positive_real_roots(coeffs), _np_positive_roots(coeffs), 1e-12)
+            roots = _positive_real_roots(coeffs)
+            _assert_roots(roots, _np_positive_roots(coeffs), 1e-12)
+            _assert_bisected(coeffs, roots)
 
     def test_high_orders_against_mpmath(self):
         # from q = 9 on np.roots drifts past 1e-12 of the exact roots of the
@@ -258,7 +271,9 @@ class TestPositiveRealRoots:
         for dims, q in itertools.product(_DEEP + [(2, 7, 8, 4)], range(9, 13)):
             model = _fit_quietly(dims, q)
             coeffs = _derivative_poly(model.alpha, model.eps_basis)
-            _assert_roots(_positive_real_roots(coeffs), _mp_positive_roots(coeffs), 1e-10)
+            roots = _positive_real_roots(coeffs)
+            _assert_roots(roots, _mp_positive_roots(coeffs), 1e-10)
+            _assert_bisected(coeffs, roots)
 
     def test_hand_built(self):
         tangency = _from_roots([-2.0, 1.0], [-2.0, 1.0], [-5.0, 1.0])
