@@ -56,6 +56,7 @@ class MomentSet(_Record):
     __slots__ = _fields = ("config", "values")  # ChannelConfig, tuple[float, ...]
 
     def _check(self):
+        object.__setattr__(self, "values", tuple(self.values))
         if len(self.values) < 1:
             raise ParameterError("a MomentSet needs at least one moment")
         if any(not v > 0 for v in self.values):

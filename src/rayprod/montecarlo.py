@@ -93,12 +93,12 @@ class Ecdf:
     """Right-continuous empirical CDF: ``F(x) = #{samples <= x} / count``."""
 
     def __init__(self, values):
-        arr = np.sort(np.asarray(values, dtype=float))
-        if arr.size == 0:
-            raise ParameterError("empirical CDF needs at least one sample")
-        if math.isnan(arr[-1]):  # the sort puts NaN last
+        arr = np.asarray(values, dtype=float)
+        if arr.ndim != 1 or arr.size == 0:
+            raise ParameterError("empirical CDF needs a non-empty 1-d array of samples")
+        self._sorted = np.sort(arr)
+        if math.isnan(self._sorted[-1]):  # the sort puts NaN last
             raise ParameterError("empirical CDF samples must not be NaN")
-        self._sorted = arr
 
     def __call__(self, x):
         if np.isnan(x).any():  # searchsorted would put NaN above every sample
@@ -287,13 +287,6 @@ def rayleigh_limit_distance(
         )
     scale = math.sqrt(math.prod(clusters)) if clusters else 1.0
 
-    factor = None  # the k0 x k0 product T_m ... T_1 of every draw
-    if clusters:
-        factor = np.empty((count, k0, k0), dtype=complex)
-        for s, chain in _triangle_chains(ChannelConfig((k0, *clusters)), 0, count, seed):
-            factor[s : s + chain.shape[2]] = chain.transpose(2, 0, 1)
-        factor *= 2.0 ** (-len(clusters) / 2)
-
     # Receive layer: Box-Muller normals interleaved per sample, the first
     # kn * k0 of them real parts and the rest imaginary parts.
     entries = kn * k0
@@ -304,8 +297,12 @@ def rayleigh_limit_distance(
         u = _uniform_rows(seed, s, b, 2 * entries, tag=1)
         z = np.empty_like(u)
         z[:, 0::2], z[:, 1::2] = _box_muller(u[:, 0::2], u[:, 1::2])
-        g_rx = (z[:, :entries] + 1j * z[:, entries:]).reshape(-1, kn, k0) / np.sqrt(2.0)
-        h = (g_rx if factor is None else g_rx @ factor[s : s + b]) / scale
+        h = (z[:, :entries] + 1j * z[:, entries:]).reshape(-1, kn, k0) / np.sqrt(2.0)
+        if clusters:  # times T_m ... T_1 of the same draws, row-major as BLAS takes it
+            chains = _triangle_chains(ChannelConfig((k0, *clusters)), s, s + b, seed)
+            h = np.concatenate([h[c - s : c - s + chain.shape[2]] @ np.ascontiguousarray(
+                chain.transpose(2, 0, 1) * 2.0 ** (-len(clusters) / 2)) for c, chain in chains])
+        h = h / scale
         parts += [h.real.ravel(), h.imag.ravel()]
     # The statistic sorts its input, so the pool order is immaterial.
     return _ks_normal_statistic(np.concatenate(parts) * np.sqrt(2.0))

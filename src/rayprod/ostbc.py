@@ -100,8 +100,8 @@ def _snr_denominator(
             f"start with {config.dims[0]}"
         )
     for gamma in gammas:
-        if not gamma > 0:  # NaN fails the comparison too
-            raise ParameterError(f"transmit SNR must be positive, got {gamma}")
+        if not 0 < gamma < math.inf:  # NaN fails the comparison too
+            raise ParameterError(f"transmit SNR must be positive and finite, got {gamma}")
     r = scheme.symbols / scheme.block_length  # float(scheme.rate), correctly rounded
     return r, r * config.dims[0] * config.normalization
 

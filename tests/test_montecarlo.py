@@ -270,6 +270,12 @@ class TestEcdf:
         with pytest.raises(ParameterError):
             Ecdf([])
 
+    @pytest.mark.parametrize("values", [np.ones((2, 2)), [[1.0]], np.array(5.0)])
+    def test_not_one_dimensional(self, values):
+        # as SampleSet refuses them; a sort along the last axis would keep the shape
+        with pytest.raises(ParameterError, match="1-d"):
+            Ecdf(values)
+
     def test_nan_samples_rejected(self):
         # numpy.quantile answers NaN there for any p; the interpolation would not
         with pytest.raises(ParameterError, match="NaN"):

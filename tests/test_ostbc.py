@@ -235,9 +235,9 @@ def test_snr_list_equals_array():
 
 
 @pytest.mark.parametrize("gamma", [math.nan, 0.0, -1.0, [1.0, math.nan],
-                                   np.array([[1.0, 2.0], [0.0, 3.0]])])
+                                   np.array([[1.0, 2.0], [0.0, 3.0]]), math.inf])
 def test_snr_domain(gamma):
-    # every SNR must be positive; NaN fails the comparison, so it is refused too
+    # every SNR must be positive and finite; NaN fails the comparison, so it is refused too
     config = ChannelConfig((2, 3))
     model = _model(config.dims)
     scheme = ostbc_catalog(2)

@@ -109,6 +109,17 @@ def test_constructor_normalizes_and_checks_the_fields():
         OstbcScheme(2, 3, 2)
 
 
+def test_moment_values_are_kept_as_a_tuple():
+    # as ChannelConfig keeps its dims: a list or array of moments compares and hashes
+    config = ChannelConfig((2, 3))
+    built = [MomentSet(config, v) for v in ((6.0, 48.0), [6.0, 48.0], np.array([6.0, 48.0]))]
+    for moments in built:
+        assert type(moments.values) is tuple
+        assert moments == built[0] and hash(moments) == hash(built[0])
+        assert fit(moments) == fit(built[0]) and hash(fit(moments)) == hash(fit(built[0]))
+    assert len(set(built)) == 1
+
+
 _DERIVED = ("alpha", "beta", "q", "weights_scaled", "eps_basis", "top", "total",
             "horner", "poch_top", "shape_terms", "peak_x", "peak_max")
 
