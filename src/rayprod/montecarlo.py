@@ -285,27 +285,26 @@ def rayleigh_limit_distance(
         raise ParameterError(
             f"ratios {list(ratios)} give clusters {clusters}; each needs at least k0 = {k0}"
         )
-    scale = math.sqrt(math.prod(clusters)) if clusters else 1.0
 
     # Receive layer: Box-Muller normals interleaved per sample, the first
     # kn * k0 of them real parts and the rest imaginary parts.
     entries = kn * k0
     batch = max(1, _TARGET_WORDS_PER_BATCH // (2 * entries))
-    parts = []
+    pool = np.empty((count, 2, kn, k0))  # draw i's real and imaginary parts at pool[i]
     for s in range(0, count, batch):
         b = min(batch, count - s)
         u = _uniform_rows(seed, s, b, 2 * entries, tag=1)
-        z = np.empty_like(u)
+        z = pool[s : s + b].reshape(b, 2 * entries)
         z[:, 0::2], z[:, 1::2] = _box_muller(u[:, 0::2], u[:, 1::2])
-        h = (z[:, :entries] + 1j * z[:, entries:]).reshape(-1, kn, k0) / np.sqrt(2.0)
         if clusters:  # times T_m ... T_1 of the same draws, row-major as BLAS takes it
-            chains = _triangle_chains(ChannelConfig((k0, *clusters)), s, s + b, seed)
-            h = np.concatenate([h[c - s : c - s + chain.shape[2]] @ np.ascontiguousarray(
-                chain.transpose(2, 0, 1) * 2.0 ** (-len(clusters) / 2)) for c, chain in chains])
-        h = h / scale
-        parts += [h.real.ravel(), h.imag.ravel()]
+            for c, chain in _triangle_chains(ChannelConfig((k0, *clusters)), s, s + b, seed):
+                g = pool[c : c + chain.shape[2]]
+                p = (g[:, 0] + 1j * g[:, 1]) @ np.ascontiguousarray(chain.transpose(2, 0, 1))
+                g[:, 0], g[:, 1] = p.real, p.imag
+    # G's parts have unit variance; undo each chain factor's sqrt(2) and P's cluster sizes
+    pool *= (2.0 ** len(clusters) * math.prod(clusters)) ** -0.5
     # The statistic sorts its input, so the pool order is immaterial.
-    return _ks_normal_statistic(np.concatenate(parts) * np.sqrt(2.0))
+    return _ks_normal_statistic(pool.ravel())
 
 
 # cephes ndtr.c coefficients as cephes lists them, highest power first (Q, S and
@@ -363,11 +362,12 @@ def _ks_normal_statistic(values: np.ndarray) -> float:
     ``scipy.stats.kstest(values, "norm").statistic``.
     """
     x = np.sort(values)
-    n = x.size
-    cdf = _ndtr(x)
-    d_plus = (np.arange(1.0, n + 1) / n - cdf).max()
-    d_minus = (cdf - np.arange(0.0, n) / n).max()
-    return float(max(d_plus, d_minus))
+    d = []
+    for lo in range(0, x.size, 2**16):  # slices bound _ndtr's per-element lists
+        cdf = _ndtr(x[lo : lo + 2**16])
+        ranks = np.arange(lo, lo + cdf.size, dtype=float)
+        d += [((ranks + 1.0) / x.size - cdf).max(), (cdf - ranks / x.size).max()]
+    return float(np.max(d))  # not max(): a NaN must propagate
 
 
 def save_samples(samples: SampleSet, path) -> None:

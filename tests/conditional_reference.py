@@ -2,11 +2,17 @@
 
 The law of ``X = ||H_n ... H_1||_F**2`` does not change when the dims are
 permuted, so write ``X = ||H A||_F**2``: ``H`` is the Gaussian factor with
-``K_j = K_min`` rows, and ``A`` is the product of the factors of the other
-dims.  Given ``A``, each row of ``H`` adds ``sum_i lambda_i |g_i|**2``, so
-``X = sum_i lambda_i G_i`` with ``lambda_1 <= ... <= lambda_r`` the nonzero
-eigenvalues of ``A^H A`` (``r`` is the smallest other dim) and independent
-``G_i ~ Gamma(K_j, 1)``.
+``K_j`` rows for one chosen dim ``K_j``, and ``A`` is the product of the
+factors of the other dims.  Given ``A``, each row of ``H`` adds ``sum_i
+lambda_i |g_i|**2``, so ``X = sum_i lambda_i G_i`` with ``lambda_1 <= ... <=
+lambda_r`` the nonzero eigenvalues of ``A^H A`` (``r`` is the smallest other
+dim) and independent ``G_i ~ Gamma(K_j, 1)``.
+
+``K_j`` is ``K_min`` unless that leaves ``A`` a smallest Bartlett shape
+``d_1 - d_0 + 1`` below 3, with ``d_0 <= d_1 <= ...`` the other dims; then
+``lambda_1`` is often tiny, ``y = x / lambda_1`` huge, and the series runs
+past ``_MAX_TERMS``.  In that case ``K_j`` is the dim whose removal leaves the
+largest shape: on (8, 7, 8, 4) that is 7, with shape 5 and ``r = 4``.
 
 The CDF of that sum is Moschopoulos' positive series (Ann. Inst. Stat. Math.
 37 (1985) 541-544).  With ``theta_i = 1 - lambda_1 / lambda_i``, ``rho = r
@@ -38,15 +44,24 @@ _MAX_TERMS = 100_000  # a draw still running here keeps its larger bound
 _BATCH = 500  # draws of A per batch: the (40, 30) factors take 9.6 MB
 
 
+def _smallest_shape(others) -> float:
+    """``d_1 - d_0 + 1`` of the sorted other dims; a single other dim has no limit."""
+    return others[1] - others[0] + 1 if len(others) > 1 else math.inf
+
+
 def eigenvalue_draws(dims, draws: int, seed: int):
     """``K_j`` and the ``(draws, r)`` ascending eigenvalues of ``A^H A``.
 
-    The other dims go in ascending order, ``d_0 <= d_1 <= ...``, so ``A`` is
-    ``d_last x d_0`` and ``A^H A`` is ``r x r`` with ``r = d_0``; a single
-    other dim leaves ``A`` the identity.
+    ``K_j`` follows the split rule above.  The other dims go in ascending
+    order, ``d_0 <= d_1 <= ...``, so ``A`` is ``d_last x d_0`` and ``A^H A``
+    is ``r x r`` with ``r = d_0``; a single other dim leaves ``A`` the
+    identity.
     """
     dims = sorted(dims)
-    kj, others = dims[0], dims[1:]
+    splits = [(dims[i], dims[:i] + dims[i + 1 :]) for i in range(len(dims))]
+    kj, others = splits[0]
+    if _smallest_shape(others) < 3:
+        kj, others = max(splits, key=lambda split: _smallest_shape(split[1]))
     rng = np.random.default_rng(seed)
     out = []
     for s in range(0, draws, _BATCH):

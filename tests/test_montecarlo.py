@@ -396,6 +396,8 @@ class TestRayleighLimit:
         rng = np.random.default_rng(9)
         arrays = [rng.standard_normal(n) for n in (1, 2, 17, 1000, 40_000)]
         arrays += [rng.standard_t(3, 5000), 1.1 * rng.standard_normal(5000) + 0.05]
+        # past one and three slices of the statistic's 2**16-value walk
+        arrays += [rng.standard_normal(n) for n in (65_537, 200_000)]
         for x in arrays:
             assert _ks_normal_statistic(x) == kstest(x, "norm").statistic
 
