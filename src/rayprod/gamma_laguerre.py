@@ -29,6 +29,12 @@ polynomial, and the supremum over ``[0, x]`` is the larger of the raw value
 at ``x`` and the raw values at the roots below ``x``.  The model finds
 those roots in plain Python (:func:`_positive_real_roots`), so the module
 needs numpy only to take and return arrays.
+
+The quantile (:func:`cdf_inverse`) inverts the regularized CDF by Illinois
+false position to the float where its computed value crosses ``p``, and
+accepts that float only within ``min(1e-10, 1e-6 p)`` of ``p``; it refuses
+with :class:`NumericError` a ``p`` it cannot bracket and one no double
+meets, such as a quantile below the smallest double.
 """
 
 from __future__ import annotations
@@ -399,37 +405,55 @@ def _check_probability(p: float) -> None:
 
 
 def cdf_inverse(model: GammaLaguerreModel, p: float) -> float:
-    """Quantile of the regularized CDF at ``1e-14 < p < 1``, by bisection.
+    """Quantile of the regularized CDF ``F`` at ``1e-14 < p < 1``: the float
+    where the computed ``F`` crosses ``p``, by Illinois false position.
 
-    Stops once ``|F(x) - p| <= min(1e-10, 1e-6 p)`` or the bracket is one
-    part in ``1e15`` wide; a quantile below the smallest double raises
-    :class:`NumericError`.
+    The bracket starts at ``[0, mean + 10 std]``, its upper end doubling
+    until ``F > p`` there, and shrinks until ``F(x) == p`` or its ends are
+    adjacent doubles ``lo < hi`` with ``F(lo) < p < F(hi)``.  The result is
+    ``hi`` if ``|F(hi) - p| <= min(1e-10, 1e-6 p)``, else ``lo`` if ``F(lo)``
+    meets that tolerance (where ``F`` snaps to 1 at ``hi``).  Raises
+    :class:`NumericError` when the bracket cannot be found or neither end
+    meets the tolerance, as for a quantile below the smallest double.
     """
     _check_probability(p)
     tol = min(_INVERSE_TOL_P, _INVERSE_TOL_REL * p)
     hi = float(model.mean + 10.0 * model.std)
     for _ in range(_MAX_BRACKET_DOUBLINGS):
-        if _cdf_point(model, hi)[1] > p:
+        f_hi = _cdf_point(model, hi)[1]
+        if f_hi > p:
             break
         hi *= 2.0
     else:
         raise NumericError(
             f"could not bracket p={p} after {_MAX_BRACKET_DOUBLINGS} doublings"
         )
-    lo = 0.0
+    lo = f_lo = 0.0  # F(0) = 0
+    # g_* are F - p at the ends, the one kept twice in a row halved (Illinois)
+    g_lo, g_hi = -p, f_hi - p
+    moved = 0  # the end the last step moved: -1 for lo, +1 for hi
     while True:
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
-            raise NumericError(f"cannot resolve the quantile at p={p}: the bracket "
-                               f"[{lo:g}, {hi:g}] cannot shrink")
-        val = _cdf_point(model, mid)[1]
-        if abs(val - p) <= tol:
-            return mid
-        if val < p:
-            lo = mid
+        x = lo + (hi - lo) * (g_lo / (g_lo - g_hi))
+        if not lo < x < hi:
+            x = 0.5 * (lo + hi)
+            if not lo < x < hi:
+                break
+        fx = _cdf_point(model, x)[1]
+        if fx == p:
+            return x
+        if fx < p:
+            lo, f_lo, g_lo = x, fx, fx - p
+            if moved < 0:
+                g_hi *= 0.5
+            moved = -1
         else:
-            hi = mid
-        # Relative stop: quantiles of configs with several dims of 1 can lie
-        # far below 1e-15, where an absolute bracket width would stop early.
-        if hi - lo <= 1e-15 * hi:
-            return 0.5 * (lo + hi)
+            hi, f_hi, g_hi = x, fx, fx - p
+            if moved > 0:
+                g_lo *= 0.5
+            moved = 1
+    if abs(f_hi - p) <= tol:
+        return hi
+    if abs(f_lo - p) <= tol:
+        return lo
+    raise NumericError(f"cannot resolve the quantile at p={p}: the bracket "
+                       f"[{lo:g}, {hi:g}] cannot shrink")

@@ -464,7 +464,40 @@ class TestCdfInverse:
         model = fit(moment_set(ChannelConfig((2, 3, 4)), 6))
         for p in (0.01, 0.05, 0.5, 0.95):
             x = cdf_inverse(model, p)
-            assert cdf(model, x)[1] == pytest.approx(p, abs=1e-9)
+            value = cdf(model, x)[1]
+            assert value == pytest.approx(p, abs=1e-9)
+            # the float where the computed CDF crosses p, not a point near it
+            assert value == p or cdf(model, math.nextafter(x, 0.0))[1] < p <= value, (p, x)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_cdf_evaluations_per_quantile(self):
+        # the 40 configs of the outage benchmark at seed 1, then those of fig2-4;
+        # bisection to the 1e-10 stop took a mean of 34.75 evaluations on the
+        # 40 at p = 0.05 and at most 64 on the list
+        configs = [
+            (8, 9, 2, 1, 7), (4, 6, 4, 1), (4, 9, 3), (3, 3, 3, 5), (3, 10), (3, 1, 3, 1),
+            (3, 2, 3, 8, 1), (2, 5, 2), (6, 3, 9, 7, 10), (2, 10, 6), (10, 2, 5, 2, 6),
+            (7, 7, 9, 10, 1), (8, 9), (2, 5, 5, 5), (1, 10, 5, 5), (4, 4, 10),
+            (3, 10, 6, 7, 7), (5, 4, 6), (6, 10, 6), (4, 3, 3, 10), (7, 5, 8, 5), (6, 6, 2),
+            (6, 6, 7, 5, 4), (2, 6, 3, 6, 7), (1, 4), (10, 2, 9), (1, 8, 7), (1, 9, 3, 9),
+            (2, 8, 1, 2, 4), (10, 8, 9, 5), (7, 10, 10), (6, 8), (8, 1, 1, 5, 7),
+            (9, 2, 4, 3, 4), (7, 10, 4, 2), (4, 8, 6), (4, 3, 5, 3, 7), (5, 4, 5),
+            (4, 10, 6, 4), (5, 9, 7, 4),
+            (2, 6, 8, 4), (2, 15, 20, 4), (2, 30, 40, 4), (4, 4), (4, 8, 4), (4, 8, 8, 4),
+            (4, 8, 8, 8, 4), (2, 7, 8, 4), (4, 7, 8, 4), (8, 7, 8, 4),
+        ]
+        models = [fit(moment_set(ChannelConfig(dims), 6)) for dims in configs]
+        point = mock.Mock(wraps=gamma_laguerre._cdf_point)
+        with mock.patch.object(gamma_laguerre, "_cdf_point", point):
+            for p in (1e-5, 1e-3, 0.05, 0.5, 0.95):
+                counts = []
+                for dims, model in zip(configs, models):
+                    point.reset_mock()
+                    cdf_inverse(model, p)
+                    counts.append(point.call_count)
+                    assert point.call_count <= 64, (dims, p)
+                if p == 0.05:
+                    assert sum(counts) <= 20 * len(counts), counts
 
     def test_against_empirical_quantile(self, samples_2784):
         # The truncated series carries an O(1e-2) CDF error for multi-cluster
@@ -530,6 +563,9 @@ class TestCdfInverse:
         x = cdf_inverse(model, p)
         assert x > model.mean + 10.0 * model.std
         assert abs(gammainc(7.0, x) - p) <= 1e-10
+        # the regularized CDF snaps to 1 at the next double, 1e-10 off p, so
+        # the quantile is the lower end of the last bracket
+        assert cdf(model, x)[1] < p < cdf(model, math.nextafter(x, math.inf))[1] == 1.0
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("dims", [(1, 1, 1, 1, 7), (1, 1, 9, 1, 1), (1, 6, 2, 1, 1)])
