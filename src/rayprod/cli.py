@@ -10,7 +10,7 @@ reproduce   multi-curve bundles for the three reference experiments
 
 Exit status: 0 on success, 2 for parameter errors and failed writes, 3 for
 resource-guard errors and exhausted memory, 4 for numeric failures.  All output
-is deterministic for a fixed argument list (including the seed), byte for byte.
+is deterministic for a fixed argument list alone, byte for byte.
 """
 
 from __future__ import annotations
@@ -46,7 +46,6 @@ from .ostbc import (
     ostbc_catalog,
 )
 
-_ENV_SEED = "RAYPROD_SEED"
 _NATS_TO_BITS = 1.4426950408889634  # 1 / ln 2
 
 _FIG2_FAMILIES = [(6, 8), (15, 20), (30, 40)]
@@ -69,9 +68,8 @@ figures and column schema (long format: one row per curve point):
         overlay, and the single-factor [K0, 4] references.  Columns:
         curve_id, snr_db, outage_capacity_nats_per_s_hz.
 with --bits the capacity columns are converted to bits/s/Hz and renamed.
-Monte-Carlo curve k uses seed (base seed + k); the base seed comes from
---seed or the RAYPROD_SEED environment variable (default 0), and every
-seed + k must stay below 2**64.
+Monte-Carlo curve k uses seed (base seed + k); the base seed is --seed
+(default 0), and every seed + k must stay below 2**64.
 """
 
 
@@ -129,14 +127,8 @@ def _parse_scheme(args, config: ChannelConfig) -> OstbcScheme:
 
 def _draws(args, curves: int = 1) -> tuple[int, int]:
     """Checked ``(seed, samples)`` for ``curves`` curves, curve k drawing with seed + k:
-    ``--seed``, else ``RAYPROD_SEED``, else 0, and ``--samples``, else 10**6."""
-    seed = args.seed
-    if seed is None:
-        env = os.environ.get(_ENV_SEED, "0")
-        try:
-            seed = int(env)
-        except ValueError:
-            raise ParameterError(f"{_ENV_SEED}={env!r} is not an integer")
+    ``--seed``, else 0, and ``--samples``, else 10**6."""
+    seed = 0 if args.seed is None else args.seed
     samples = 10**6 if args.samples is None else args.samples
     return _check_seed(seed, 2**64 - curves), _integer(samples, "--samples", 1)
 
@@ -390,7 +382,7 @@ def _build_parser() -> _Parser:
 
     def add_draws(p, note=""):
         p.add_argument("--samples", type=int, help=f"draws (default 10**6){note}")
-        p.add_argument("--seed", type=int, help=f"seed (default ${_ENV_SEED} or 0){note}")
+        p.add_argument("--seed", type=int, help=f"seed (default 0){note}")
 
     p = sub.add_parser("moments", help="moment table, all routes per order")
     add_common(p)

@@ -35,6 +35,7 @@ of plain numpy Gaussians, so the reference shares no code with rayprod's
 Bartlett sampler.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -49,13 +50,14 @@ def _smallest_shape(others) -> float:
     return others[1] - others[0] + 1 if len(others) > 1 else math.inf
 
 
-def eigenvalue_draws(dims, draws: int, seed: int):
+@functools.lru_cache(maxsize=None)
+def eigenvalue_draws(dims: tuple, draws: int, seed: int):
     """``K_j`` and the ``(draws, r)`` ascending eigenvalues of ``A^H A``.
 
     ``K_j`` follows the split rule above.  The other dims go in ascending
     order, ``d_0 <= d_1 <= ...``, so ``A`` is ``d_last x d_0`` and ``A^H A``
     is ``r x r`` with ``r = d_0``; a single other dim leaves ``A`` the
-    identity.
+    identity.  The result is cached, so the array is read-only.
     """
     dims = sorted(dims)
     splits = [(dims[i], dims[:i] + dims[i + 1 :]) for i in range(len(dims))]
@@ -71,7 +73,9 @@ def eigenvalue_draws(dims, draws: int, seed: int):
             g = rng.standard_normal((b, rows, cols, 2)).view(complex)[..., 0]
             a = g @ a / math.sqrt(2.0)  # CN(0, 1) entries
         out.append(np.linalg.eigvalsh(a.conj().transpose(0, 2, 1) @ a))
-    return kj, np.concatenate(out)
+    lam = np.concatenate(out)
+    lam.flags.writeable = False
+    return kj, lam
 
 
 def gamma_sum_cdf(lam: np.ndarray, kj: int, x: float):

@@ -113,7 +113,7 @@ class TestCdf:
                                      "--seed", "4"])
         assert code == 0 and counts == [10**6]
         assert _rows(out)[0][-1] == "ecdf"
-        # the environment seed is a default, not a request: no overlay
+        # the CLI never reads RAYPROD_SEED, so it adds no overlay
         monkeypatch.setenv("RAYPROD_SEED", "4")
         code, out, _ = _run(capsys, ["cdf", "--dims", "2,3", "--grid-points", "3"])
         assert code == 0 and counts == [10**6]
@@ -274,42 +274,30 @@ class TestSimulate:
             assert key in summary
         assert out_path.stat().st_size == 32 + 8 * 5000
 
-    def test_env_seed(self, capsys, monkeypatch):
-        monkeypatch.setenv("RAYPROD_SEED", "77")
-        code, via_env, _ = _run(capsys, ["simulate", "--dims", "2,3",
-                                         "--samples", "1000", "--format", "json"])
-        assert code == 0
-        monkeypatch.delenv("RAYPROD_SEED")
-        code, via_flag, _ = _run(capsys, ["simulate", "--dims", "2,3",
-                                          "--samples", "1000", "--seed", "77",
-                                          "--format", "json"])
-        assert code == 0
-        assert json.loads(via_env) == json.loads(via_flag)
+    @pytest.mark.parametrize("value", ["77", "abc"])
+    def test_environment_seed_is_ignored(self, capsys, monkeypatch, value):
+        argv = ["simulate", "--dims", "2,3", "--samples", "1000", "--format", "json"]
+        monkeypatch.delenv("RAYPROD_SEED", raising=False)
+        code, plain, err = _run(capsys, argv)
+        assert code == 0 and err == ""
+        monkeypatch.setenv("RAYPROD_SEED", value)
+        code, out, err = _run(capsys, argv)
+        assert code == 0 and err == ""
+        assert out == plain
+        assert json.loads(out)["seed"] == 0
 
-    def test_seed_range(self, capsys, monkeypatch, tmp_path):
+    def test_seed_range(self, capsys, tmp_path):
         base = ["simulate", "--dims", "2,3", "--samples", "10"]
         for seed in ("-1", str(2**64), str(2**64 + 5)):
             code, out, err = _run(capsys, base + ["--seed", seed])
             assert code == 2 and out == "", seed
             assert err.startswith("rayprod: parameter error: seed")
             assert err.strip().count("\n") == 0
-            monkeypatch.setenv("RAYPROD_SEED", seed)
-            code, out, err = _run(capsys, base)
-            assert code == 2 and out == "", seed
-            assert err.startswith("rayprod: parameter error: seed")
-            assert err.strip().count("\n") == 0
-            monkeypatch.delenv("RAYPROD_SEED")
         path = tmp_path / "x.bin"
         code, out, _ = _run(capsys, base + ["--seed", str(2**64 - 1), "--format", "json",
                                             "--out", str(path)])
         assert code == 0
         assert json.loads(out)["seed"] == 2**64 - 1
-
-    def test_env_seed_not_an_integer(self, capsys, monkeypatch):
-        monkeypatch.setenv("RAYPROD_SEED", "abc")
-        code, out, err = _run(capsys, ["simulate", "--dims", "2,3", "--samples", "10"])
-        assert code == 2 and out == ""
-        assert err == "rayprod: parameter error: RAYPROD_SEED='abc' is not an integer\n"
 
     def test_csv_matches_json(self, capsys):
         base = ["simulate", "--dims", "2,3", "--samples", "10", "--seed", str(2**64 - 1)]
@@ -429,27 +417,21 @@ class TestReproduce:
         assert not out.exists()
 
     @pytest.mark.parametrize("figure,curves", [("fig2", 3), ("fig3", 4), ("fig4", 3)])
-    def test_seed_range(self, capsys, monkeypatch, tmp_path, figure, curves):
+    def test_seed_range(self, capsys, tmp_path, figure, curves):
         # curve k draws with seed + k, so the base seed stops at 2**64 - curves
         largest = 2**64 - curves
-        for via_env in (False, True):
-            for seed, ok in ((largest, True), (largest + 1, False)):
-                out = tmp_path / f"{figure}_{seed}_{via_env}.csv"
-                argv = ["reproduce", "--figure", figure, "--samples", "200",
-                        "--out", str(out)]
-                if via_env:
-                    monkeypatch.setenv("RAYPROD_SEED", str(seed))
-                else:
-                    argv += ["--seed", str(seed)]
-                code, stdout, err = _run(capsys, argv)
-                monkeypatch.delenv("RAYPROD_SEED", raising=False)
-                if ok:
-                    assert code == 0 and err == "" and out.stat().st_size > 0
-                    continue
-                assert code == 2 and stdout == "" and not out.exists()
-                assert err.count("\n") == 1
-                assert err.startswith("rayprod: parameter error: seed")
-                assert f"[0, {largest}]" in err and err.rstrip().endswith(f"got {seed}")
+        for seed, ok in ((largest, True), (largest + 1, False)):
+            out = tmp_path / f"{figure}_{seed}.csv"
+            code, stdout, err = _run(capsys, ["reproduce", "--figure", figure,
+                                              "--samples", "200", "--seed", str(seed),
+                                              "--out", str(out)])
+            if ok:
+                assert code == 0 and err == "" and out.stat().st_size > 0
+                continue
+            assert code == 2 and stdout == "" and not out.exists()
+            assert err.count("\n") == 1
+            assert err.startswith("rayprod: parameter error: seed")
+            assert f"[0, {largest}]" in err and err.rstrip().endswith(f"got {seed}")
 
 
 class TestErrorCodes:

@@ -23,7 +23,7 @@ def test_single_factor_is_the_exact_gamma_cdf(x):
 
 _ECDF_DRAWS = 10**5
 _CONFIGS = [(2, 7, 8, 4), (2, 30, 40, 4), (4, 8, 4), (4, 8, 8, 4), (2, 6, 8, 4), (2, 15, 20, 4),
-            (4, 4), (8, 7, 8, 4)]
+            (4, 4), (8, 7, 8, 4), (4, 7, 8, 4), (4, 8, 8, 8, 4), (2, 4), (8, 4)]
 
 
 @functools.lru_cache(maxsize=None)

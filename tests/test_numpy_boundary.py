@@ -110,22 +110,18 @@ def test_snr_refused_before_numpy(argv, snr_db, shown):
                           f"{shown} dB has no finite linear value\n")
 
 
-@pytest.mark.parametrize("argv,env", [
-    (["simulate", "--dims", "2,3", "--seed", "-1"], None),
-    (["cdf", "--dims", "2,3", "--seed", str(2**64)], None),
-    (["simulate", "--dims", "2,3"], "-1"),
-    (["cdf", "--dims", "2,3", "--grid-points", "3", "--samples", "0", "--seed", "-1"], None),
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--dims", "2,3", "--seed", "-1"],
+    ["cdf", "--dims", "2,3", "--seed", str(2**64)],
+    ["cdf", "--dims", "2,3", "--grid-points", "3", "--samples", "0", "--seed", "-1"],
 ])
-def test_seed_refused_before_numpy(argv, env, monkeypatch):
+def test_seed_refused_before_numpy(argv):
     # the seed is read before any fit, draw or numpy import, and before the
-    # draw count; the refused seed is RAYPROD_SEED or else the last argument
-    if env is not None:
-        monkeypatch.setenv("RAYPROD_SEED", env)
+    # draw count; the refused seed is the last argument
     out = _python(_WITHOUT_NUMPY, *argv)
-    got = argv[-1] if env is None else env
     assert out.returncode == 2 and out.stdout == ""
     assert out.stderr == ("rayprod: parameter error: seed must be an integer in "
-                          f"[0, {2**64 - 1}], got {got}\n")
+                          f"[0, {2**64 - 1}], got {argv[-1]}\n")
 
 
 def test_every_public_name_resolves():
